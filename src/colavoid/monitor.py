@@ -46,13 +46,15 @@ class MonitorConfig:
 
 
 class SlidingWindow:
-    """Bounded FIFO of observations; evicts strictly oldest-first."""
+    """Bounded FIFO of observations; evicts strictly oldest-first and keeps
+    a running count of its correct predictions."""
 
     def __init__(self, capacity):
         if capacity < 1:
             raise MonitorError("window capacity must be positive")
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
+        self._correct = 0
         self._last_step = -1
 
     def __len__(self):
@@ -65,13 +67,17 @@ class SlidingWindow:
         if obs.step <= self._last_step:
             raise MonitorError(
                 f"out-of-order step index {obs.step} (last was {self._last_step})")
+        if len(self._buf) == self.capacity:
+            evicted = self._buf[0]
+            self._correct -= evicted.prediction == evicted.truth
         self._buf.append(obs)
+        self._correct += obs.prediction == obs.truth
         self._last_step = obs.step
 
     def accuracy(self):
         if not self._buf:
             raise MonitorError("accuracy over an empty window is undefined")
-        return sum(1 for o in self._buf if o.prediction == o.truth) / len(self._buf)
+        return self._correct / len(self._buf)
 
     def is_full(self):
         return len(self._buf) == self.capacity

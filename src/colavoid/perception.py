@@ -27,6 +27,9 @@ INPUT_RANGES = (
 
 LAYER_SIZES = (5, 32, 32, 1)
 
+_LO = np.array([r[0] for r in INPUT_RANGES])
+_HI = np.array([r[1] for r in INPUT_RANGES])
+
 
 class PerceptionError(Exception):
     pass
@@ -76,9 +79,7 @@ class Dataset:
 def standardize(X):
     """Affine map of raw inputs to [-1, 1] per dimension (fixed ranges)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    lo = np.array([r[0] for r in INPUT_RANGES])
-    hi = np.array([r[1] for r in INPUT_RANGES])
-    return 2.0 * (X - lo) / (hi - lo) - 1.0
+    return 2.0 * (X - _LO) / (_HI - _LO) - 1.0
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,12 @@ class MLPParams:
         return cls([data[f"w{i}"] for i in range(n)], [data[f"b{i}"] for i in range(n)])
 
 
-def _forward_pass(params, X):
+def _forward_pass(weights, biases, X):
     """Returns (activations per layer, output probabilities)."""
     acts = [X]
     h = X
-    n_layers = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    n_layers = len(weights)
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
         if i < n_layers - 1:
             h = np.maximum(z, 0.0)
@@ -156,7 +157,7 @@ def forward(params, x):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise PerceptionError("non-finite input")
-    _, out = _forward_pass(params, standardize(x))
+    _, out = _forward_pass(params.weights, params.biases, standardize(x))
     return float(out[0, 0])
 
 
@@ -165,31 +166,37 @@ def _bce_loss(p, y, eps=1e-12):
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def loss_and_gradients(params, X_std, y):
-    """Mean BCE loss and its gradients w.r.t. every weight and bias.
-
-    X_std must already be standardized.
-    """
-    acts, p = _forward_pass(params, X_std)
+def _gradients(weights, acts, p, y):
+    """Gradients of the mean BCE loss w.r.t. every weight and bias, from a
+    forward pass's activations and output probabilities."""
     n = len(y)
-    loss = _bce_loss(p[:, 0], y)
     eps = 1e-12
     p_clip = np.clip(p[:, 0], eps, 1.0 - eps)
     # d loss / d z_out for sigmoid + BCE, with the clip's dead zone respected
     dz = ((p_clip - y) / n)[:, None]
     grads_w, grads_b = [], []
-    for i in reversed(range(len(params.weights))):
+    for i in reversed(range(len(weights))):
         grads_w.append(acts[i].T @ dz)
         grads_b.append(dz.sum(axis=0))
         if i > 0:
-            dh = dz @ params.weights[i].T
+            dh = dz @ weights[i].T
             dz = dh * (acts[i] > 0.0)
-    return loss, list(reversed(grads_w)), list(reversed(grads_b))
+    return list(reversed(grads_w)), list(reversed(grads_b))
+
+
+def loss_and_gradients(params, X_std, y):
+    """Mean BCE loss and its gradients w.r.t. every weight and bias.
+
+    X_std must already be standardized.
+    """
+    acts, p = _forward_pass(params.weights, params.biases, X_std)
+    grads_w, grads_b = _gradients(params.weights, acts, p, y)
+    return _bce_loss(p[:, 0], y), grads_w, grads_b
 
 
 def dataset_loss(params, dataset):
     X, y = dataset.matrix()
-    _, p = _forward_pass(params, standardize(X))
+    _, p = _forward_pass(params.weights, params.biases, standardize(X))
     return _bce_loss(p[:, 0], y)
 
 
@@ -206,10 +213,15 @@ def best_epoch(losses):
 
 def train(init, train_set, val_set, cfg):
     """SGD with per-epoch validation; returns the snapshot with the lowest
-    validation loss (ties resolved toward the earliest epoch)."""
+    validation loss (ties resolved toward the earliest epoch).
+
+    The weights are updated in place and snapshotted once per epoch; a
+    diverged epoch leaves non-finite weights, which the snapshot rejects."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise PerceptionError("training and validation sets must be nonempty")
     params = init if isinstance(init, MLPParams) else MLPParams.init_random(init)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
     rng = np.random.default_rng(cfg.seed)
     X, y = train_set.matrix()
     X = standardize(X)
@@ -217,14 +229,16 @@ def train(init, train_set, val_set, cfg):
     losses, snapshots = [], []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss, gw, gb = loss_and_gradients(params, X[batch], y[batch])
-            if not math.isfinite(loss):
-                raise PerceptionError("training diverged (non-finite loss)")
-            params = MLPParams(
-                [w - cfg.learning_rate * g for w, g in zip(params.weights, gw)],
-                [b - cfg.learning_rate * g for b, g in zip(params.biases, gb)])
+            X_batch = X_epoch[start:start + cfg.batch_size]
+            acts, p = _forward_pass(weights, biases, X_batch)
+            gw, gb = _gradients(weights, acts, p, y_epoch[start:start + cfg.batch_size])
+            for w, g in zip(weights, gw):
+                w -= cfg.learning_rate * g
+            for b, g in zip(biases, gb):
+                b -= cfg.learning_rate * g
+        params = MLPParams(weights, biases)
         val_loss = dataset_loss(params, val_set)
         if not math.isfinite(val_loss):
             raise PerceptionError("training diverged (non-finite validation loss)")
@@ -243,7 +257,7 @@ class MLPPredictor:
         return 1 if forward(self.params, x) >= 0.5 else 0
 
     def predict_batch(self, X):
-        _, p = _forward_pass(self.params, standardize(X))
+        _, p = _forward_pass(self.params.weights, self.params.biases, standardize(X))
         return (p[:, 0] >= 0.5).astype(int)
 
 

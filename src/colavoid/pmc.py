@@ -124,6 +124,19 @@ def _backward_reachable(P, sources, allowed):
     return reached
 
 
+def _check_absorbing(states, P, start, stop, what):
+    """Raise when a state reachable from `start` without entering the `stop`
+    set cannot reach that set, so a sampled path could stay out forever."""
+    if stop[start]:
+        return
+    outside = _backward_reachable(P.T, [start], ~stop)
+    reaches = _backward_reachable(P, np.nonzero(stop)[0], np.ones(len(states), dtype=bool))
+    stuck = [states[i] for i in np.nonzero(outside & ~reaches)[0]]
+    if stuck:
+        raise CheckError(f"chain is not absorbing: states {stuck} reachable from "
+                         f"{states[start]!r} cannot reach the {what} states")
+
+
 def _label_indices(chain, index, label):
     idxs = [index[s] for s in chain.states_with_label(label)]
     if not idxs:
@@ -272,10 +285,13 @@ def simulate_chain(chain, n, seed, avoid="collision", target="done",
     is_avoid[list(avoid_set)] = True
     is_reward_stop = np.zeros(n_states, dtype=bool)
     is_reward_stop[list(reward_set)] = True
+    start = index[chain.initial]
+    _check_absorbing(states, P, start, is_target | is_avoid, f"{target}/{avoid}")
+    _check_absorbing(states, P, start, is_reward_stop, "|".join(reward_targets))
 
     # all paths advance in lockstep; a path stops once its until verdict is
     # known and it has entered the reward-target set
-    s = np.full(n, index[chain.initial])
+    s = np.full(n, start)
     verdict = np.zeros(n, dtype=np.int8)          # 0 unknown, 1 sat, -1 unsat
     collecting = np.ones(n, dtype=bool)
     rewards = np.zeros(n)

@@ -75,6 +75,40 @@ def ground_truth_label(c, cfg=OracleConfig()):
     return 0
 
 
+#: Situations the trace generator draws, labels and emits together; bounds
+#: the batched oracle's temporaries to a few arrays of this length.
+LABEL_CHUNK = 4096
+
+
+def ground_truth_labels(X, cfg=OracleConfig()):
+    """Batched ground_truth_label over the rows (x1..x5) of X; array of 0/1.
+
+    Steps every state through the same recurrence with the same operation
+    order.  np.hypot and math.hypot may differ by one ulp, so a state whose
+    distance comes within two ulps of the radius at any instant is relabelled
+    by the scalar oracle; the two oracles agree bit for bit.
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 5)
+    steps = int(round(cfg.horizon / cfg.dt))
+    tie = 2.0 * np.spacing(cfg.radius)
+    px, py, theta = X[:, 0].copy(), X[:, 1].copy(), X[:, 2].copy()
+    x4, x5 = X[:, 3], X[:, 4]
+    hit = np.zeros(len(X), dtype=bool)
+    near = np.zeros(len(X), dtype=bool)
+    for k in range(steps + 1):
+        t = k * cfg.dt
+        ry = cfg.robot_speed * t
+        dist = np.hypot(px, py - ry)
+        hit |= dist < cfg.radius
+        near |= np.abs(dist - cfg.radius) <= tie
+        px += x4 * np.cos(theta) * cfg.dt
+        py += x4 * np.sin(theta) * cfg.dt
+        theta += x5 * cfg.dt
+    for i in np.nonzero(near)[0]:
+        hit[i] = ground_truth_label(ColliderState(*X[i].tolist()), cfg)
+    return hit.astype(int)
+
+
 def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345, cfg=None):
     """Bisect the collision radius so the uniform positive rate hits `target`."""
     base = cfg or OracleConfig()
@@ -82,11 +116,10 @@ def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345, cfg=None):
     lo_b = np.array([r[0] for r in INPUT_RANGES])
     hi_b = np.array([r[1] for r in INPUT_RANGES])
     points = rng.uniform(lo_b, hi_b, size=(n, 5))
-    states = [ColliderState(*p) for p in points]
 
     def rate(radius):
         c = OracleConfig(base.dt, base.horizon, radius, base.robot_speed)
-        return sum(ground_truth_label(s, c) for s in states) / n
+        return int(ground_truth_labels(points, c).sum()) / n
 
     lo, hi = 0.05, 6.0
     for _ in range(40):
@@ -158,9 +191,10 @@ def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
     for size, role in zip(sizes, roles):
         if size < 1:
             raise EnvError("dataset sizes must be positive")
-        states = ball_sample(c0, eps0, size, rng)
-        out.append(Dataset([Sample(s.as_tuple(), ground_truth_label(s, oracle))
-                            for s in states], role))
+        X = np.array([s.as_tuple() for s in ball_sample(c0, eps0, size, rng)])
+        labels = ground_truth_labels(X, oracle)
+        out.append(Dataset([Sample(tuple(x), int(y))
+                            for x, y in zip(X.tolist(), labels)], role))
     return tuple(out)
 
 
@@ -233,13 +267,19 @@ class TraceEntry:
 
 
 def generate_trace(n, p_collider, gen, seed, oracle=OracleConfig()):
-    """Pre-constructed benchmark: n situation draws shared by all methods."""
+    """Pre-constructed benchmark: n situation draws shared by all methods.
+
+    Drawn, labelled and emitted LABEL_CHUNK situations at a time."""
     rng = np.random.default_rng(seed)
     entries = []
-    for _ in range(n):
-        present = bool(rng.random() < p_collider)
-        state = gen.next_input()
-        entries.append(TraceEntry(present, state, ground_truth_label(state, oracle)))
+    for start in range(0, n, LABEL_CHUNK):
+        present, states = [], []
+        for _ in range(min(LABEL_CHUNK, n - start)):
+            present.append(bool(rng.random() < p_collider))
+            states.append(gen.next_input())
+        labels = ground_truth_labels([s.as_tuple() for s in states], oracle)
+        entries.extend(TraceEntry(p, s, int(y))
+                       for p, s, y in zip(present, states, labels))
     return entries
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class QuantifyError(Exception):
     """Raised when a confusion matrix cannot be turned into rates."""
@@ -77,9 +79,10 @@ def evaluate_confusion(predictor, dataset, k=2):
     """Run the predictor over a labelled dataset and count (truth, prediction)."""
     if len(dataset) == 0:
         raise QuantifyError("cannot evaluate on an empty dataset")
+    X, _ = dataset.matrix()
     counts = [[0] * k for _ in range(k)]
-    for sample in dataset:
-        counts[sample.y][predictor.predict(sample.x)] += 1
+    for sample, prediction in zip(dataset, predictor.predict_batch(X)):
+        counts[sample.y][prediction] += 1
     return ConfusionMatrix.from_rows(counts)
 
 
@@ -107,5 +110,5 @@ def accuracy(predictor, dataset):
     """Fraction of samples whose prediction matches the label."""
     if len(dataset) == 0:
         raise QuantifyError("accuracy of an empty dataset is undefined")
-    correct = sum(1 for s in dataset if predictor.predict(s.x) == s.y)
-    return correct / len(dataset)
+    X, y = dataset.matrix()
+    return int(np.sum(predictor.predict_batch(X) == y)) / len(dataset)

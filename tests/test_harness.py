@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -149,6 +150,31 @@ class TestDeterminism:
             a = open(os.path.join(cfg0.out_dir, name), "rb").read()
             b = open(os.path.join(cfg.out_dir, name), "rb").read()
             assert a == b, name
+
+    #: sha256 of the artifacts of the acceptance criterion-8 run; a change
+    #: that alters any output byte of a fixed-seed run must update these and
+    #: say why.
+    GOLDEN = {
+        "metrics.csv": "b5371a1e1ceb9bd39355337decfd2e63d2d266304f057fa5ce8c19bae3aec9ef",
+        "periods.csv": "2043f0eca81227330de41e173b2e46b9cd4cbb5e0f440865ea5bbba4b5ca1609",
+        "steps.csv": "8a10f55e4ac4912cdb6782f77867fde75b84f51328525b129467eb2fa4c43b6c",
+        "monitor_trace.csv": "84dd9205b54082527b73b897fed9b8525d74d63988888cc61c2c4f79d083fb97",
+        "events.csv": "4152a359b0474bee50444ce5a668ab951d028f5ec7d0923de1087ffc60195c81",
+    }
+    GOLDEN_TRACE_HASH = "e567b9aad0ad559a9a79fa24cfd831aa33652667319e0ba70dfa7b80164eabdb"
+
+    def test_golden_artifacts(self, tmp_path):
+        cfg = harness.ExperimentConfig(
+            method="sa", environment="us", steps=2500, seed=5,
+            out_dir=str(tmp_path / "run"), trace_path=str(tmp_path / "trace.csv"),
+            dataset_sizes=(400, 100, 100, 100),
+            train_config=TrainConfig(epochs=15))
+        harness.run_experiment(cfg)
+        for name, digest in self.GOLDEN.items():
+            data = open(os.path.join(cfg.out_dir, name), "rb").read()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+        meta = json.load(open(os.path.join(cfg.out_dir, "metadata.json")))
+        assert meta["trace_hash"] == self.GOLDEN_TRACE_HASH
 
     def test_threaded_repair_equals_sequential(self, runs):
         root, out = runs

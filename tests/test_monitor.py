@@ -62,6 +62,25 @@ class TestSlidingWindow:
             w.append(obs(i))
         assert len(w) == min(cap, n)
 
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                        min_size=1, max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_running_accuracy_equals_recount(self, cap, pairs):
+        w = mon.SlidingWindow(cap)
+        for i, (prediction, truth) in enumerate(pairs):
+            w.append(obs(i, prediction, truth))
+            recount = sum(1 for o in w if o.prediction == o.truth) / len(w)
+            assert w.accuracy() == recount
+
+    def test_rejected_append_keeps_count(self):
+        w = mon.SlidingWindow(1)
+        w.append(obs(3, 1, 1))
+        with pytest.raises(mon.MonitorError):
+            w.append(obs(2, 0, 1))
+        assert w.accuracy() == 1.0
+        w.append(obs(4, 0, 1))
+        assert w.accuracy() == 0.0
+
 
 class TestRunningStats:
     def test_safety_rate(self):

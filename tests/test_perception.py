@@ -17,6 +17,27 @@ def make_dataset(n, rule, seed, role="train"):
     return pc.Dataset(samples, role)
 
 
+def reference_train(init, train_set, val_set, cfg):
+    """SGD as a loop over loss_and_gradients with a fresh MLPParams per
+    minibatch; returns the snapshot with the lowest validation loss."""
+    p = init
+    rng = np.random.default_rng(cfg.seed)
+    X, y = train_set.matrix()
+    X = pc.standardize(X)
+    losses, snapshots = [], []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, gw, gb = pc.loss_and_gradients(p, X[batch], y[batch])
+            p = pc.MLPParams(
+                [w - cfg.learning_rate * g for w, g in zip(p.weights, gw)],
+                [b - cfg.learning_rate * g for b, g in zip(p.biases, gb)])
+        losses.append(pc.dataset_loss(p, val_set))
+        snapshots.append(p)
+    return snapshots[pc.best_epoch(losses)]
+
+
 class TestStandardize:
     def test_range_endpoints_map_to_unit_interval(self):
         lo = [r[0] for r in pc.INPUT_RANGES]
@@ -147,25 +168,34 @@ class TestTrain:
         cfg = pc.TrainConfig(epochs=10, seed=0)
         params = pc.train(0, train_set, val_set, cfg)
         # retrace the loss curve and confirm the returned snapshot attains it
-        losses = []
-        snapshots = []
-        p = pc.MLPParams.init_random(0)
-        rng = np.random.default_rng(cfg.seed)
-        X, y = train_set.matrix()
-        X = pc.standardize(X)
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(y))
-            for start in range(0, len(y), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                _, gw, gb = pc.loss_and_gradients(p, X[batch], y[batch])
-                p = pc.MLPParams(
-                    [w - cfg.learning_rate * g for w, g in zip(p.weights, gw)],
-                    [b - cfg.learning_rate * g for b, g in zip(p.biases, gb)])
-            losses.append(pc.dataset_loss(p, val_set))
-            snapshots.append(p)
-        best = snapshots[pc.best_epoch(losses)]
+        best = reference_train(pc.MLPParams.init_random(0), train_set, val_set, cfg)
         for wa, wb in zip(params.weights, best.weights):
             assert np.array_equal(wa, wb)
+
+    def test_matches_reference_sgd_loop(self):
+        # 150 samples leave a partial last batch; train must not write into
+        # the snapshot it starts from
+        rule = lambda x: x[0] + x[1] > 4.0
+        train_set = make_dataset(150, rule, seed=40)
+        val_set = make_dataset(60, rule, seed=41, role="val")
+        cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, seed=3)
+        init = pc.MLPParams.init_random(5)
+        init_weights = [w.copy() for w in init.weights]
+        params = pc.train(init, train_set, val_set, cfg)
+        best = reference_train(init, train_set, val_set, cfg)
+        for a, b in zip(params.weights + params.biases, best.weights + best.biases):
+            assert np.array_equal(a, b)
+        for a, b in zip(init.weights, init_weights):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("learning_rate", [1e50, 1e100])
+    def test_divergence_raises(self, learning_rate):
+        rule = lambda x: x[0] > 0.0
+        train_set = make_dataset(200, rule, seed=50)
+        val_set = make_dataset(50, rule, seed=51, role="val")
+        cfg = pc.TrainConfig(learning_rate=learning_rate, epochs=3, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(pc.PerceptionError, match="non-finite"):
+            pc.train(0, train_set, val_set, cfg)
 
     def test_empty_sets_rejected(self):
         ds = make_dataset(10, lambda x: 0, seed=0)

@@ -111,8 +111,15 @@ class TestSimulateChain:
             {"s0": {"s1": 1.0}, "s1": {"s0": 1.0}, "done": {"done": 1.0},
              "collision": {"collision": 1.0}},
             labels={"done": ["done"], "collision": ["collision"]})
-        with pytest.raises(pmc.CheckError, match="cap"):
+        with pytest.raises(pmc.CheckError, match=r"not absorbing: states \['s0', 's1'\]"):
             pmc.simulate_chain(chain, 3, seed=0)
+
+    def test_reward_set_unreachable_reported(self, corpus_chains):
+        # the verdict is known on entering collision, but a path collecting
+        # reward toward "done" alone would stay in collision forever
+        with pytest.raises(pmc.CheckError, match=r"\['collision'\].*cannot reach the done"):
+            pmc.simulate_chain(corpus_chains["coin"], 3, seed=0,
+                               reward_targets=("done",))
 
     def test_path_count_validated(self, ref_chain):
         with pytest.raises(pmc.CheckError):

@@ -84,12 +84,83 @@ class TestOracle:
             simenv.OracleConfig(radius=-1.0)
 
 
+STATES = st.tuples(*(st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+                      for lo, hi in INPUT_RANGES))
+ORACLES = (simenv.OracleConfig(),
+           simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS),
+           simenv.OracleConfig(dt=0.25, horizon=7.0, radius=0.8))
+
+
+def scalar_labels(rows, cfg):
+    return [simenv.ground_truth_label(simenv.ColliderState(*r), cfg) for r in rows]
+
+
+def at_radius(cfg, angles, ulps):
+    """States whose distance from the robot at t = 0 is the radius, nudged
+    by a whole number of ulps, that then move with the given heading."""
+    rows = []
+    for a in angles:
+        for k in ulps:
+            x1 = cfg.radius * math.cos(a)
+            x2 = cfg.radius * math.sin(a)
+            for _ in range(abs(k)):
+                x2 = float(np.nextafter(x2, math.inf if k > 0 else -math.inf))
+            rows.append((x1, x2, a, 1.0, 0.3))
+    return rows
+
+
+class TestBatchedOracle:
+    @given(st.lists(STATES, min_size=1, max_size=40), st.sampled_from(ORACLES))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, rows, cfg):
+        assert simenv.ground_truth_labels(rows, cfg).tolist() == scalar_labels(rows, cfg)
+
+    @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=20),
+           st.sampled_from(ORACLES))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle_at_the_radius(self, angles, cfg):
+        rows = at_radius(cfg, angles, ulps=range(-3, 4))
+        assert simenv.ground_truth_labels(rows, cfg).tolist() == scalar_labels(rows, cfg)
+
+    def test_dense_radius_sweep(self):
+        # np.hypot and math.hypot differ by an ulp on some of these states
+        for cfg in ORACLES:
+            rows = at_radius(cfg, np.linspace(0.0, math.pi, 400), ulps=range(-2, 3))
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == scalar_labels(rows, cfg)
+
+    def test_uniform_sample(self):
+        rng = np.random.default_rng(5)
+        lo, hi = np.array(INPUT_RANGES).T
+        X = rng.uniform(lo, hi, size=(3000, 5))
+        cfg = ORACLES[1]
+        assert simenv.ground_truth_labels(X, cfg).tolist() == scalar_labels(X.tolist(), cfg)
+
+    def test_empty_input(self):
+        assert len(simenv.ground_truth_labels(np.empty((0, 5)))) == 0
+
+
 class TestCalibrateRadius:
     def test_bisection_reaches_tolerance(self):
         radius, rate = simenv.calibrate_radius(target=0.25, tol=0.02, n=2000,
                                                seed=7)
         assert abs(rate - 0.25) <= 0.02
         assert 0.05 < radius < 6.0
+
+    def test_matches_scalar_bisection(self):
+        # the bisection as it was written over the scalar oracle
+        target, tol, n = 0.3, 0.005, 1500
+        rng = np.random.default_rng(3)
+        lo_b, hi_b = np.array(INPUT_RANGES).T
+        states = [simenv.ColliderState(*p) for p in rng.uniform(lo_b, hi_b, size=(n, 5))]
+        lo, hi = 0.05, 6.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            cfg = simenv.OracleConfig(radius=mid)
+            r = sum(simenv.ground_truth_label(s, cfg) for s in states) / n
+            if abs(r - target) <= tol:
+                break
+            lo, hi = (mid, hi) if r < target else (lo, mid)
+        assert simenv.calibrate_radius(target=target, tol=tol, n=n, seed=3) == (mid, r)
 
 
 class TestEnvGenerator:
@@ -222,6 +293,16 @@ class TestTraces:
         entries = simenv.generate_trace(5000, 0.8, gen, seed=14)
         rate = sum(e.present for e in entries) / len(entries)
         assert abs(rate - 0.8) < 3 * math.sqrt(0.8 * 0.2 / 5000)
+
+    def test_labels_match_oracle_across_chunks(self):
+        n = simenv.LABEL_CHUNK + 50
+        entries = simenv.generate_trace(n, 0.8, simenv.EnvGenerator(seed=3), seed=4)
+        assert len(entries) == n
+        assert [e.label for e in entries] == [
+            simenv.ground_truth_label(e.state) for e in entries]
+        assert all(type(e.label) is int for e in entries)
+        short = simenv.generate_trace(60, 0.8, simenv.EnvGenerator(seed=3), seed=4)
+        assert simenv.trace_hash(short) == simenv.trace_hash(entries[:60])
 
     def test_same_seed_same_trace(self):
         a = simenv.generate_trace(50, 0.5, simenv.EnvGenerator(seed=1), seed=2)

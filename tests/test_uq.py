@@ -18,6 +18,9 @@ class FixedPredictor:
         self.i += 1
         return out
 
+    def predict_batch(self, X):
+        return [self.predict(x) for x in X]
+
 
 def dataset_of(pairs):
     return Dataset([Sample((float(i), 0.0, 0.0, 0.0, 0.0), y)
