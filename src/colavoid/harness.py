@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import perception, pmc, simenv, synthesis, uq
 from .monitor import Monitor, MonitorConfig, Observation
 from .pdtmc import ModelConstants, reference_model
-from .perception import Dataset, MLPPredictor, TrainConfig, random_guess_predictor
+from .perception import MLPPredictor, RandomGuessPredictor, TrainConfig
 from .runtime import DualRuntime, RepairConfig, SystemState
 from .simenv import ColliderState, EnvGenerator, OracleConfig, World
 from .synthesis import ParamSpace
@@ -93,7 +92,7 @@ class ExperimentConfig:
 class Metrics:
     accuracy: float
     safety_rate: float
-    mean_step_time: float
+    mean_step_time: float        # completed moves only (see RunningStats.mean_time)
     queries: int
     attempts: int
     collisions: int
@@ -110,10 +109,8 @@ class StaticRuntime:
     def __init__(self, predictor, kappa):
         self._predictor = predictor
         self.kappa = kappa
-        self.queries = 0
 
     def predict(self, x):
-        self.queries += 1
         return self._predictor.predict(x)
 
     def move_probability(self, prediction):
@@ -184,7 +181,7 @@ def run_experiment(cfg):
     trace = load_or_generate_trace(cfg, seeds)
 
     if cfg.method == "random":
-        rt = StaticRuntime(random_guess_predictor(seeds["random_pred"]), init["kappa0"])
+        rt = StaticRuntime(RandomGuessPredictor(seeds["random_pred"]), init["kappa0"])
     elif cfg.method == "no":
         rt = StaticRuntime(MLPPredictor(init["phi0"]), init["kappa0"])
     else:
@@ -202,26 +199,18 @@ def run_experiment(cfg):
     monitor = Monitor(cfg.monitor)
     rng_action = np.random.default_rng(seeds["action"])
 
-    queries = correct = 0
-    attempts = collisions = completed = 0
+    correct = attempts = collisions = completed = 0
     total_done_time = 0.0
-    period_queries = period_correct = 0
     series = []
     repairs_signalled = repairs_accepted = 0
-    next_boundary = cfg.monitor.t_monitor
     step_rows = []
-    step_index = 0
 
-    while queries < cfg.steps:
+    while monitor.queries < cfg.steps:
         rec = world.step(rt, rng_action)
         for (x, pred, truth) in rec.observations:
-            step_index += 1
-            monitor.observe(Observation(tuple(x), pred, truth, step_index))
-            queries += 1
-            period_queries += 1
+            monitor.observe(Observation(tuple(x), pred, truth, monitor.queries + 1))
             if pred == truth:
                 correct += 1
-                period_correct += 1
         collided = rec.outcome == "collision"
         attempts += 1
         collisions += 1 if collided else 0
@@ -229,36 +218,34 @@ def run_experiment(cfg):
             completed += 1
             total_done_time += rec.elapsed
         monitor.record_outcome(collided, rec.elapsed)
-        monitor.log_trace_row(step_index, rec.observations[-1][1] if rec.observations else "",
+        step = monitor.queries
+        monitor.log_trace_row(step, rec.observations[-1][1] if rec.observations else "",
                               rec.observations[-1][2] if rec.observations else "", False)
-        step_rows.append([step_index, rec.outcome, rec.elapsed, rec.waits, rec.queries])
+        step_rows.append([step, rec.outcome, rec.elapsed, rec.waits, rec.queries])
 
         if isinstance(rt, DualRuntime):
             rt.assert_invariants()
 
         # first step boundary at/after each monitoring-period boundary
-        if queries >= next_boundary:
-            period_acc = period_correct / period_queries if period_queries else float("nan")
+        if monitor.at_period_boundary():
             decision = monitor.evaluate()
-            series.append([len(series), period_acc, monitor.stats.safety_rate,
-                           monitor.stats.mean_time])
+            series.append([len(series), decision.period_accuracy, decision.safety_rate,
+                           decision.mean_time])
             if cfg.method == "sa" and decision.repair and not decision.skipped:
                 ce = monitor.drain_counterexamples()
                 if len(ce):
                     repairs_signalled += 1
-                    rt.signal_repair(ce, decision.reasons, step_index)
-                    accepted = rt.finish_repair(step_index)
+                    rt.signal_repair(ce, decision.reasons, step)
+                    accepted = rt.finish_repair(step)
                     repairs_accepted += 1 if accepted else 0
             else:
                 monitor.reset_period()
-            period_queries = period_correct = 0
-            next_boundary += cfg.monitor.t_monitor
 
     metrics = Metrics(
-        accuracy=correct / queries if queries else float("nan"),
+        accuracy=correct / monitor.queries if monitor.queries else float("nan"),
         safety_rate=1.0 - collisions / attempts if attempts else 1.0,
         mean_step_time=total_done_time / completed if completed else float("nan"),
-        queries=queries, attempts=attempts, collisions=collisions,
+        queries=monitor.queries, attempts=attempts, collisions=collisions,
         completed=completed, repairs_signalled=repairs_signalled,
         repairs_accepted=repairs_accepted,
         unserved=rt.unserved if isinstance(rt, DualRuntime) else 0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .perception import Dataset, Sample
 
@@ -104,6 +104,9 @@ class RunningStats:
 
     @property
     def mean_time(self):
+        """Mean time over every attempted move, collisions included, as the
+        model's R[F done|collision] counts it (the run's mean_step_time in
+        metrics.csv averages completed moves only)."""
         if self.attempts == 0:
             return 0.0
         return self.total_time / self.attempts
@@ -113,14 +116,16 @@ class RunningStats:
 class RepairDecision:
     repair: bool
     reasons: frozenset       # subset of {"accuracy", "safety", "time"}
-    accuracy: float
+    accuracy: float          # windowed accuracy (nan when skipped)
+    period_accuracy: float   # accuracy over the period's queries (nan if none)
     safety_rate: float
     mean_time: float
     skipped: bool = False    # window not yet full at evaluation time
 
 
 class Monitor:
-    """Owns the sliding window, period stats and the counterexample log."""
+    """Owns the query count, the period boundaries, the sliding window, the
+    period stats and the counterexample log."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -147,8 +152,11 @@ class Monitor:
 
     def evaluate(self):
         """Period-boundary repair decision per the threshold clauses."""
+        obs = self._period_obs
+        period_acc = (sum(o.prediction == o.truth for o in obs) / len(obs)
+                      if obs else float("nan"))
         if not self.window.is_full():
-            return RepairDecision(False, frozenset(), float("nan"),
+            return RepairDecision(False, frozenset(), float("nan"), period_acc,
                                   self.stats.safety_rate, self.stats.mean_time,
                                   skipped=True)
         acc = self.window.accuracy()
@@ -159,7 +167,7 @@ class Monitor:
             reasons.add("safety")
         if self.stats.mean_time > self.cfg.time_bound:
             reasons.add("time")
-        return RepairDecision(bool(reasons), frozenset(reasons), acc,
+        return RepairDecision(bool(reasons), frozenset(reasons), acc, period_acc,
                               self.stats.safety_rate, self.stats.mean_time)
 
     def drain_counterexamples(self):
@@ -196,20 +204,3 @@ class Monitor:
             writer.writerow(["step", "prediction", "truth", "window_accuracy",
                             "period_safety", "period_mean_time", "repair"])
             writer.writerows(self._trace)
-
-
-def should_repair(window, stats, cfg):
-    """Stateless form of the period-boundary decision (window must be full)."""
-    if len(window) < cfg.d_window:
-        return RepairDecision(False, frozenset(), float("nan"),
-                              stats.safety_rate, stats.mean_time, skipped=True)
-    acc = window.accuracy()
-    reasons = set()
-    if acc < cfg.threshold_1:
-        reasons.add("accuracy")
-    if stats.safety_rate < cfg.safety_bound:
-        reasons.add("safety")
-    if stats.mean_time > cfg.time_bound:
-        reasons.add("time")
-    return RepairDecision(bool(reasons), frozenset(reasons), acc,
-                          stats.safety_rate, stats.mean_time)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 STOCHASTIC_TOL = 1e-9
@@ -249,9 +249,6 @@ class DTMC:
     initial: str
     probs: dict             # (src, dst) -> float
     rewards: dict           # (src, dst) -> float
-
-    def successors(self, state):
-        return {dst: p for (src, dst), p in self.probs.items() if src == state}
 
     def states_with_label(self, label):
         return {s for s, labels in self.states.items() if label in labels}

@@ -9,9 +9,8 @@ cannot drift apart.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +58,6 @@ class Dataset:
         y = np.array([s.y for s in self.samples], dtype=float)
         return X, y
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "x3", "x4", "x5", "y"])
-            for s in self.samples:
-                writer.writerow(list(s.x) + [s.y])
-
-    @classmethod
-    def read_csv(cls, path, role="train"):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            samples = [Sample(tuple(float(v) for v in row[:5]), int(row[5]))
-                       for row in reader if row]
-        return cls(samples, role)
-
 
 def standardize(X):
     """Affine map of raw inputs to [-1, 1] per dimension (fixed ranges)."""
@@ -121,19 +104,6 @@ class MLPParams:
         weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
         biases = [np.zeros(b) for b in sizes[1:]]
         return cls(weights, biases)
-
-    def save(self, path):
-        arrays = {"sizes": np.array(LAYER_SIZES)}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path):
-        data = np.load(path)
-        n = len([k for k in data.files if k.startswith("w")])
-        return cls([data[f"w{i}"] for i in range(n)], [data[f"b{i}"] for i in range(n)])
 
 
 def _forward_pass(weights, biases, X):
@@ -269,10 +239,6 @@ class RandomGuessPredictor:
 
     def predict(self, x):
         return int(self._rng.integers(0, 2))
-
-
-def random_guess_predictor(seed):
-    return RandomGuessPredictor(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,14 @@ sampler acts as an independent oracle for testing.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pdtmc import instantiate, validate_stochastic
+from .pdtmc import instantiate
 
 RESIDUAL_TOL = 1e-10
-GS_CONVERGENCE = 1e-12
-GS_MAX_ITERS = 1_000_000
 PATH_STEP_CAP = 1_000_000
 
 
@@ -83,13 +80,6 @@ class QRTable:
     def row_for(self, candidate):
         return self.rows[self.candidates.index(tuple(candidate))]
 
-    def write_csv(self, path, dim_names=("c1", "c2")):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(dim_names) + self.columns)
-            for cand, row in zip(self.candidates, self.rows):
-                writer.writerow(list(cand) + list(row))
-
 
 # ---------------------------------------------------------------------------
 # Graph helpers
@@ -145,35 +135,17 @@ def _label_indices(chain, index, label):
 
 
 def _solve(A, b):
-    """Dense solve with residual check; Gauss-Seidel fallback on failure."""
+    """Dense solve with residual check.  After graph precomputation the
+    system is nonsingular, so a singular one or a large residual is an
+    ill-posed query."""
     try:
         x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        x = _gauss_seidel(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise CheckError(f"singular system after precomputation ({exc})") from None
     residual = np.max(np.abs(A @ x - b)) if len(b) else 0.0
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
-        x = _gauss_seidel(A, b)
-        residual = np.max(np.abs(A @ x - b))
-        if residual > RESIDUAL_TOL:
-            raise CheckError(f"linear solve residual {residual} exceeds {RESIDUAL_TOL}")
+        raise CheckError(f"linear solve residual {residual} exceeds {RESIDUAL_TOL}")
     return x
-
-
-def _gauss_seidel(A, b):
-    n = len(b)
-    x = np.zeros(n)
-    diag = np.diag(A).copy()
-    if np.any(diag == 0.0):
-        raise CheckError("singular system after precomputation")
-    for _ in range(GS_MAX_ITERS):
-        delta = 0.0
-        for i in range(n):
-            new = (b[i] - A[i] @ x + A[i, i] * x[i]) / diag[i]
-            delta = max(delta, abs(new - x[i]))
-            x[i] = new
-        if delta < GS_CONVERGENCE:
-            return x
-    raise CheckError("iterative solver failed to converge")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import csv
 import threading
 from dataclasses import dataclass, field, replace
 
-from . import perception, synthesis, uq
-from .perception import Dataset, MLPPredictor, TrainConfig
+from . import perception, pmc, synthesis, uq
+from .perception import MLPPredictor, TrainConfig
 
 
 class RuntimeError_(Exception):
@@ -60,10 +60,6 @@ class Cache:
         with self._lock:
             return self._store.pop(key, None)
 
-    def peek(self, key):
-        with self._lock:
-            return self._store.get(key)
-
 
 @dataclass
 class RepairConfig:
@@ -97,7 +93,6 @@ class DualRuntime:
         self.repair_in_flight = False
         self.events = []                 # (step, active, version, event, detail)
         self.unserved = 0
-        self._step_count = 0
         self._repair_seed = 0
         self._thread = None
         self._predictor = MLPPredictor(initial_state.phi)
@@ -116,23 +111,11 @@ class DualRuntime:
         return self.active.state
 
     def predict(self, x):
-        self._step_count += 1
         return self._predictor.predict(x)
 
     def move_probability(self, prediction):
         kappa = self.state.kappa
         return kappa[0] if prediction == 0 else kappa[1]
-
-    def step(self, collider_state, truth, rng):
-        """Single perception+control decision; used directly in unit tests
-        (the world loop calls predict/move_probability itself)."""
-        from .monitor import Observation
-        if collider_state is None:
-            return "move", None
-        prediction = self.predict(collider_state)
-        action = "move" if rng.random() < self.move_probability(prediction) else "wait"
-        obs = Observation(tuple(collider_state), prediction, truth, self._step_count)
-        return action, obs
 
     # -- repair side -------------------------------------------------------
 
@@ -192,7 +175,7 @@ class DualRuntime:
                       f"test_accuracy={test_acc:.4f};kappa={kappa};feasible={feasible}")
             return (True, new_state)
         except (perception.PerceptionError, uq.QuantifyError,
-                synthesis.SynthesisError) as exc:
+                synthesis.SynthesisError, pmc.CheckError) as exc:
             self._log(step, "reject", f"error={exc}")
             return (False, None)
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,63 +195,6 @@ def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
         out.append(Dataset([Sample(tuple(x), int(y))
                             for x, y in zip(X.tolist(), labels)], role))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Grid map and path planning
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GridMap:
-    width: int
-    height: int
-    obstacles: frozenset      # of (x, y)
-    start: tuple
-    goal: tuple
-
-    def __post_init__(self):
-        if self.start in self.obstacles or self.goal in self.obstacles:
-            raise EnvError("start/goal must not be obstacles")
-
-    @classmethod
-    def random(cls, width, height, density, seed):
-        rng = np.random.default_rng(seed)
-        cells = [(x, y) for x in range(width) for y in range(height)]
-        n_obs = int(density * len(cells))
-        obs_idx = rng.choice(len(cells), size=n_obs, replace=False)
-        obstacles = frozenset(cells[i] for i in obs_idx)
-        free = [c for c in cells if c not in obstacles]
-        while True:
-            start, goal = (free[i] for i in rng.choice(len(free), size=2, replace=False))
-            candidate = cls(width, height, obstacles, start, goal)
-            try:
-                plan_path(candidate)
-                return candidate
-            except EnvError:
-                continue
-
-
-def plan_path(grid):
-    """Shortest 4-connected path via BFS with fixed neighbor order."""
-    if grid.start == grid.goal:
-        return [grid.start]
-    parents = {grid.start: None}
-    queue = deque([grid.start])
-    while queue:
-        cell = queue.popleft()
-        x, y = cell
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if (nxt in parents or nxt in grid.obstacles
-                    or not (0 <= nxt[0] < grid.width and 0 <= nxt[1] < grid.height)):
-                continue
-            parents[nxt] = cell
-            if nxt == grid.goal:
-                path = [nxt]
-                while path[-1] is not None and parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            queue.append(nxt)
-    raise EnvError("goal unreachable from start")
 
 
 # ---------------------------------------------------------------------------

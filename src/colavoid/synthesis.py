@@ -8,7 +8,6 @@ tie-break order so synthesis is deterministic.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 from . import pmc

@@ -1,10 +1,7 @@
-import math
-
 import pytest
 
 from colavoid import pmc, uq
-from colavoid.pdtmc import (DTMC, ModelConstants, instantiate, parse_model,
-                            reference_model)
+from colavoid.pdtmc import DTMC, ModelConstants, instantiate, reference_model
 
 MATRIX_C = [[2000, 290], [10, 200]]
 MATRIX_C_SHIFT = [[1000, 200], [1200, 100]]

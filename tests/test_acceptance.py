@@ -6,19 +6,17 @@ under plain `pytest` the verdict is the test outcome itself.
 
 import contextlib
 import glob
-import json
 import math
 import os
 
 import numpy as np
 import pytest
 
-from colavoid import harness, perception, pmc, runtime, simenv, synthesis, uq
-from colavoid.monitor import MonitorConfig
+from colavoid import harness, perception, pmc, runtime, simenv, synthesis
 from colavoid.pdtmc import instantiate, parse_model, reference_model, serialize_model
 from colavoid.perception import TrainConfig
 from colavoid.synthesis import ParamSpace
-from conftest import MATRIX_C, MATRIX_C_SHIFT, ref_valuation
+from conftest import ref_valuation
 
 
 @contextlib.contextmanager

@@ -1,11 +1,10 @@
-import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from colavoid import cli, harness, simenv
+from colavoid import cli, harness
 from colavoid.monitor import MonitorConfig
 from colavoid.perception import TrainConfig
 from colavoid.synthesis import ParamSpace

@@ -156,15 +156,39 @@ class TestRepairDecision:
         assert decision.skipped and not decision.repair
         assert math.isnan(decision.accuracy)
 
-    def test_stateless_matches_stateful(self):
-        cfg = small_cfg()
-        m = mon.Monitor(cfg)
-        self.fill(m, 7, 3)
-        m.record_outcome(True, 10.0)
-        a = m.evaluate()
-        b = mon.should_repair(m.window, m.stats, cfg)
-        assert (a.repair, a.reasons, a.safety_rate) == (b.repair, b.reasons,
-                                                        b.safety_rate)
+    def test_empty_period_accuracy_is_nan(self):
+        assert math.isnan(mon.Monitor(small_cfg()).evaluate().period_accuracy)
+
+    def test_period_accuracy_on_overshooting_and_skipped_periods(self):
+        m = mon.Monitor(small_cfg(d_window=20))
+        step = self.fill(m, 9, 4)            # 13 queries: overshoots the 10 mark
+        assert m.at_period_boundary()
+        d = m.evaluate()
+        assert d.skipped and math.isnan(d.accuracy)
+        assert d.period_accuracy == 9 / 13
+        m.reset_period()
+        self.fill(m, 2, 5, start=step)       # next boundary is at 20 queries
+        assert m.at_period_boundary()
+        assert m.evaluate().period_accuracy == 2 / 7
+
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                             max_size=7), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_period_accuracy_equals_recount(self, steps):
+        # steps of 0-7 queries against a 5-query period, driven as the harness
+        # drives the monitor, so periods overshoot and early ones are skipped
+        m = mon.Monitor(small_cfg(t_monitor=5, d_window=12))
+        period = []
+        for queries in steps:
+            for prediction, truth in queries:
+                m.observe(obs(m.queries + 1, prediction, truth))
+                period.append(prediction == truth)
+            if m.at_period_boundary():
+                d = m.evaluate()
+                assert d.period_accuracy == sum(period) / len(period)
+                assert d.skipped == (m.queries < 12)
+                m.reset_period()
+                period = []
 
 
 class TestPeriods:

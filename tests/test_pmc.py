@@ -133,6 +133,12 @@ class TestResiduals:
         x = pmc.until_probabilities(chain, "collision", "done")["s0"]
         assert abs((1 - 0.25) * x - 0.5) <= 1e-10
 
+    @pytest.mark.parametrize("b", [[1.0, 1.0], [1.0, 2.0]])
+    def test_singular_system_rejected(self, b):
+        # consistent and inconsistent right-hand sides; the diagonal is nonzero
+        with pytest.raises(pmc.CheckError, match="singular"):
+            pmc._solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array(b))
+
 
 class TestQuantifyCandidates:
     def test_table_shape(self, ref_model, u_initial, default_specs):
@@ -178,14 +184,3 @@ class TestQuantifyCandidates:
         with pytest.raises(pmc.CheckError):
             pmc.quantify_candidates(ref_model, u_initial, grid, state_specs,
                                     reward_specs)
-
-    def test_csv_export(self, ref_model, u_initial, default_specs, tmp_path):
-        state_specs, reward_specs = default_specs
-        grid = synthesis.discretize(synthesis.ParamSpace(counts=(2, 2)))
-        qr = pmc.quantify_candidates(ref_model, u_initial, grid, state_specs,
-                                     reward_specs,
-                                     base_valuation={"p_collider": 0.8, "p_occ": 0.25})
-        path = tmp_path / "qr.csv"
-        qr.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 5 and lines[0].startswith("c1,c2,")

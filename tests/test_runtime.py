@@ -60,12 +60,6 @@ class TestCache:
         assert c.take("k") == 3
         assert c.take("k") is None
 
-    def test_peek_is_non_destructive(self):
-        c = runtime.Cache()
-        c.put("k", "v")
-        assert c.peek("k") == "v"
-        assert c.peek("k") == "v"
-
 
 class TestPrediction:
     def test_move_probability_uses_kappa(self, ref_model):
@@ -78,11 +72,6 @@ class TestPrediction:
         x = (0.0, 5.0, 3.0, 1.0, 0.0)
         expected = pc.MLPPredictor(rt.state.phi).predict(x)
         assert rt.predict(x) == expected
-
-    def test_step_without_collider_moves(self, ref_model):
-        rt = make_runtime(ref_model)
-        action, obs = rt.step(None, None, np.random.default_rng(0))
-        assert action == "move" and obs is None
 
 
 class TestRepairPipeline:
@@ -125,6 +114,28 @@ class TestRepairPipeline:
         rt.signal_repair(make_ce(60, seed=4), {"safety"}, step=1)
         assert rt.finish_repair(step=2) is False
         assert any("forced failure" in e[4] for e in rt.events)
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_check_error_is_reject(self, ref_model, monkeypatch, threaded):
+        rt = make_runtime(ref_model, threaded=threaded, test_gate=0.0)
+        x = (0.0, 5.0, 3.0, 1.0, 0.0)
+        before = rt.predict(x)
+
+        def boom(*args, **kwargs):
+            raise pmc.CheckError("forced check failure")
+
+        monkeypatch.setattr(runtime.synthesis, "synthesize", boom)
+        assert rt.signal_repair(make_ce(60, seed=4), {"safety"}, step=1)
+        assert rt.finish_repair(step=2) is False
+        assert any(e[3] == "reject" and "forced check failure" in e[4]
+                   for e in rt.events)
+        assert rt.active.name == "A" and rt.state.version == 0
+        assert rt.predict(x) == before
+        rt.assert_invariants()
+        monkeypatch.undo()
+        assert rt.signal_repair(make_ce(60, seed=5), {"safety"}, step=3)
+        assert rt.finish_repair(step=4) is True
+        assert rt.active.name == "B"
 
     def test_signal_suppressed_while_in_flight(self, ref_model):
         rt = make_runtime(ref_model, test_gate=0.0)

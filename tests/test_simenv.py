@@ -237,48 +237,6 @@ class TestBallSampleAndDatasets:
                 simenv.ColliderState(0, 5, 3, 1, 0), 1.0, (0, 1, 1, 1), seed=0)
 
 
-class TestGridAndPlanning:
-    def test_straight_path_on_empty_grid(self):
-        grid = simenv.GridMap(5, 5, frozenset(), (0, 0), (4, 0))
-        path = simenv.plan_path(grid)
-        assert path == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-
-    def test_obstacle_forces_detour(self):
-        wall = frozenset({(2, 0), (2, 1), (2, 2), (2, 3)})
-        grid = simenv.GridMap(5, 5, wall, (0, 0), (4, 0))
-        path = simenv.plan_path(grid)
-        assert path[0] == (0, 0) and path[-1] == (4, 0)
-        assert len(path) == 13       # forced over the top of the wall
-        assert not (set(path) & wall)
-
-    def test_unreachable_goal(self):
-        wall = frozenset({(2, y) for y in range(5)})
-        grid = simenv.GridMap(5, 5, wall, (0, 0), (4, 0))
-        with pytest.raises(simenv.EnvError, match="unreachable"):
-            simenv.plan_path(grid)
-
-    def test_start_equals_goal(self):
-        grid = simenv.GridMap(3, 3, frozenset(), (1, 1), (1, 1))
-        assert simenv.plan_path(grid) == [(1, 1)]
-
-    def test_path_steps_are_adjacent(self):
-        grid = simenv.GridMap.random(8, 8, density=0.2, seed=9)
-        path = simenv.plan_path(grid)
-        for a, b in zip(path, path[1:]):
-            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-
-    @given(seed=st.integers(0, 30))
-    @settings(max_examples=15, deadline=None)
-    def test_random_maps_are_always_solvable(self, seed):
-        grid = simenv.GridMap.random(6, 6, density=0.25, seed=seed)
-        path = simenv.plan_path(grid)
-        assert path[0] == grid.start and path[-1] == grid.goal
-
-    def test_blocked_endpoints_rejected(self):
-        with pytest.raises(simenv.EnvError):
-            simenv.GridMap(3, 3, frozenset({(0, 0)}), (0, 0), (2, 2))
-
-
 class TestTraces:
     def test_round_trip_preserves_hash(self, tmp_path):
         gen = simenv.EnvGenerator(mode="uniform", seed=11)

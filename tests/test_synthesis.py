@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import pmc, synthesis, uq
-from conftest import MATRIX_C, MATRIX_C_SHIFT
 
 
 class TestParamSpace:
