@@ -25,8 +25,6 @@ def main():
                         help="situation generator: uniform or random walk")
     parser.add_argument("--out", default="runs/comparison",
                         help="parent directory for the three run directories")
-    parser.add_argument("--threaded", action="store_true",
-                        help="run repairs on a worker thread")
     args = parser.parse_args()
 
     trace_path = os.path.join(args.out, "trace.csv")
@@ -35,8 +33,7 @@ def main():
         out_dir = os.path.join(args.out, method)
         cfg = ExperimentConfig(method=method, environment=args.env,
                                steps=args.steps, seed=args.seed,
-                               out_dir=out_dir, trace_path=trace_path,
-                               threaded=args.threaded)
+                               out_dir=out_dir, trace_path=trace_path)
         metrics = run_experiment(cfg)
         run_dirs.append(out_dir)
         print(f"{method:>6}: accuracy={metrics.accuracy:.4f} "

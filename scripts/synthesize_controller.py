@@ -12,7 +12,8 @@ Example:
 
 import argparse
 
-from colavoid import pmc, synthesis, uq
+from colavoid import synthesis, uq
+from colavoid.harness import default_specs
 from colavoid.pdtmc import ModelConstants, reference_model
 from colavoid.synthesis import ParamSpace
 
@@ -34,10 +35,7 @@ def main():
     constants = ModelConstants()
     model = reference_model(constants)
     space = ParamSpace(counts=(args.grid, args.grid))
-    state_specs = (pmc.StateSpec(avoid="collision", target="done",
-                                 bound=args.safety_bound),)
-    reward_specs = (pmc.RewardSpec(targets=frozenset({"done", "collision"}),
-                                   bound=args.time_bound),)
+    state_specs, reward_specs = default_specs(args.safety_bound, args.time_bound)
     kappa, qr, feasible = synthesis.synthesize(
         u, model, space, state_specs, reward_specs,
         base_valuation=constants.valuation())

@@ -11,7 +11,8 @@ import os
 import sys
 
 from . import pmc, simenv, synthesis, uq
-from .harness import ExperimentConfig, format_table, run_experiment, summarize
+from .harness import (ExperimentConfig, default_specs, format_table, run_experiment,
+                      summarize)
 from .pdtmc import ModelConstants, instantiate, parse_model
 from .synthesis import ParamSpace
 
@@ -21,17 +22,11 @@ def _load_model(path):
         return parse_model(fh.read())
 
 
-def _specs(safety_bound, time_bound):
-    state = (pmc.StateSpec(avoid="collision", target="done", bound=safety_bound),)
-    reward = (pmc.RewardSpec(targets=frozenset({"done", "collision"}), bound=time_bound),)
-    return state, reward
-
-
 def cmd_synthesize(args):
     model = _load_model(args.model)
     u = uq.quantify(uq.ConfusionMatrix.read_csv(args.confusion))
     space = ParamSpace(counts=(args.grid, args.grid))
-    state_specs, reward_specs = _specs(args.safety_bound, args.time_bound)
+    state_specs, reward_specs = default_specs(args.safety_bound, args.time_bound)
     constants = ModelConstants()
     kappa, qr, feasible = synthesis.synthesize(
         u, model, space, state_specs, reward_specs,

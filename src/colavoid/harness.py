@@ -54,7 +54,6 @@ class ExperimentConfig:
     c0: ColliderState = DEFAULT_C0
     eps0: float = 0.1
     trace_path: str = None              # shared benchmark trace (CSV)
-    threaded: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -68,23 +67,23 @@ class ExperimentConfig:
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
-        kwargs = {}
-        for key in ("method", "environment", "steps", "seed", "out_dir",
-                    "eps0", "trace_path", "threaded"):
+        plain = ("method", "environment", "steps", "seed", "out_dir", "eps0",
+                 "trace_path")
+        built = {  # JSON key -> (field, constructor)
+            "dataset_sizes": ("dataset_sizes", tuple),
+            "c0": ("c0", lambda v: ColliderState(*v)),
+            "monitor": ("monitor", lambda v: MonitorConfig(**v)),
+            "constants": ("constants", lambda v: ModelConstants(**v)),
+            "oracle": ("oracle", lambda v: OracleConfig(**v)),
+            "train": ("train_config", lambda v: TrainConfig(**v)),
+        }
+        unknown = sorted(set(raw) - set(plain) - set(built))
+        if unknown:
+            raise HarnessError(f"unknown config keys: {', '.join(unknown)}")
+        kwargs = {key: raw[key] for key in plain if key in raw}
+        for key, (name, build) in built.items():
             if key in raw:
-                kwargs[key] = raw[key]
-        if "dataset_sizes" in raw:
-            kwargs["dataset_sizes"] = tuple(raw["dataset_sizes"])
-        if "c0" in raw:
-            kwargs["c0"] = ColliderState(*raw["c0"])
-        if "monitor" in raw:
-            kwargs["monitor"] = MonitorConfig(**raw["monitor"])
-        if "constants" in raw:
-            kwargs["constants"] = ModelConstants(**raw["constants"])
-        if "oracle" in raw:
-            kwargs["oracle"] = OracleConfig(**raw["oracle"])
-        if "train" in raw:
-            kwargs["train_config"] = TrainConfig(**raw["train"])
+                kwargs[name] = build(raw[key])
         return cls(**kwargs)
 
 
@@ -125,9 +124,11 @@ def derive_seeds(seed):
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
-def default_specs():
-    state = (pmc.StateSpec(avoid="collision", target="done", bound=0.9),)
-    reward = (pmc.RewardSpec(targets=frozenset({"done", "collision"}), bound=15.0),)
+def default_specs(safety_bound=0.9, time_bound=15.0):
+    """The (state specs, reward specs) pair every synthesis checks:
+    P[!collision U done] >= safety_bound and R[F done|collision] <= time_bound."""
+    state = (pmc.StateSpec(avoid="collision", target="done", bound=safety_bound),)
+    reward = (pmc.RewardSpec(targets=frozenset({"done", "collision"}), bound=time_bound),)
     return state, reward
 
 
@@ -193,7 +194,7 @@ def run_experiment(cfg):
             state_specs=init["state_specs"], reward_specs=init["reward_specs"],
             base_valuation=cfg.constants.valuation())
         rt = DualRuntime(SystemState(init["phi0"], init["kappa0"], 0),
-                         init["datasets"], repair_cfg, threaded=cfg.threaded)
+                         init["datasets"], repair_cfg)
 
     world = World(trace, t_move=cfg.constants.t_move, t_wait=cfg.constants.t_wait)
     monitor = Monitor(cfg.monitor)
@@ -220,11 +221,8 @@ def run_experiment(cfg):
         monitor.record_outcome(collided, rec.elapsed)
         step = monitor.queries
         monitor.log_trace_row(step, rec.observations[-1][1] if rec.observations else "",
-                              rec.observations[-1][2] if rec.observations else "", False)
+                              rec.observations[-1][2] if rec.observations else "")
         step_rows.append([step, rec.outcome, rec.elapsed, rec.waits, rec.queries])
-
-        if isinstance(rt, DualRuntime):
-            rt.assert_invariants()
 
         # first step boundary at/after each monitoring-period boundary
         if monitor.at_period_boundary():

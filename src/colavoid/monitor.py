@@ -173,12 +173,15 @@ class Monitor:
     def drain_counterexamples(self):
         """Misclassified observations of the just-finished period, as samples.
 
-        Resets the period log and stats; callable only at a boundary.
+        A non-empty set marks the last trace row as the repair step.  Resets
+        the period log and stats; callable only at a boundary.
         """
         if not self.at_period_boundary():
             raise MonitorError("period not yet complete")
         ce = Dataset([Sample(o.x, o.truth) for o in self._period_obs
                       if o.prediction != o.truth], role="train")
+        if len(ce) and self._trace:
+            self._trace[-1][-1] = 1
         self._advance_period()
         return ce
 
@@ -192,11 +195,12 @@ class Monitor:
         while self._next_boundary <= self.queries:
             self._next_boundary += self.cfg.t_monitor
 
-    def log_trace_row(self, step, prediction, truth, repair_flag):
+    def log_trace_row(self, step, prediction, truth):
+        """One monitor_trace.csv row; its repair flag is set by
+        drain_counterexamples."""
         acc = self.window.accuracy() if len(self.window) else ""
         self._trace.append([step, prediction, truth, acc,
-                            self.stats.safety_rate, self.stats.mean_time,
-                            int(repair_flag)])
+                            self.stats.safety_rate, self.stats.mean_time, 0])
 
     def write_trace(self, path):
         with open(path, "w", newline="") as fh:

@@ -405,7 +405,7 @@ def validate_stochastic(chain):
 # ---------------------------------------------------------------------------
 
 #: Parameters of the reference model in declaration order.
-REFERENCE_PARAMS = ("p_collider", "p_occ", "p00", "p01", "p10", "p11", "c1", "c2")
+REFERENCE_PARAMS = ("p_collider", "p_occ", "p00", "p11", "c1", "c2")
 
 
 def reference_model(constants=None):
@@ -438,8 +438,8 @@ def reference_model(constants=None):
         Transition("check", "encounter", e("p_collider")),
         Transition("encounter", "danger", e("p_occ")),
         Transition("encounter", "safe", e("1 - p_occ")),
-        # complementary pairs keep every row stochastic for any valuation;
-        # p01 and p10 stay declared for callers that pass full rate vectors
+        # complementary pairs keep every row stochastic for any valuation,
+        # so p01 = 1 - p00 and p10 = 1 - p11 need no parameters of their own
         Transition("safe", "safe_pred0", e("p00")),
         Transition("safe", "safe_pred1", e("1 - p00")),
         Transition("danger", "danger_pred1", e("p11")),

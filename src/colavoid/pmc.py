@@ -292,13 +292,13 @@ def simulate_chain(chain, n, seed, avoid="collision", target="done",
 def quantify_candidates(model, u, grid, state_specs, reward_specs, base_valuation=None):
     """Instantiate every grid candidate and evaluate all specs.
 
-    `u` provides the perception rates (p00, p01, p10, p11); `base_valuation`
+    `u` provides the perception rates (`u.as_valuation()`); `base_valuation`
     supplies any remaining model parameters (e.g. environment constants).
     """
     if not grid.candidates:
         raise CheckError("empty candidate grid")
     base = dict(base_valuation or {})
-    base.update({"p00": u.p00, "p01": u.p01, "p10": u.p10, "p11": u.p11})
+    base.update(u.as_valuation())
     columns = [s.name for s in state_specs] + [s.name for s in reward_specs]
     rows = []
     for i, cand in enumerate(grid.candidates):

@@ -1,27 +1,26 @@
-"""Dual-component runtime: one component predicts while its twin repairs.
+"""Dual-component runtime: one component serves while its twin is repaired.
 
-Both components carry the full prediction and repair machinery; exactly
-one prediction module is active at any instant.  A keyed cache mediates
-repair signals, drained counterexamples and published state snapshots;
-role swap happens at a step boundary after an accepted repair.
+The two components are two slots of `SystemState`s, named "A" and "B";
+`active` is the index of the one that serves predictions.  A repair
+signal runs the repair pipeline in line and holds its (accepted, state)
+result as pending; `finish_repair` installs that result at a later step
+boundary, and on accept the repaired slot becomes the active one.  Until
+then the old component keeps serving and further signals are suppressed.
 
-The repair pipeline itself is deterministic, so the threaded mode (repair
-on a worker thread, joined at the same step boundary) and the sequential
-fallback produce identical experiment metrics for identical seeds.
+Repair completion is a step, not a wall-clock event, so a fixed seed
+gives the same results however long a repair takes.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field, replace
 
 from . import perception, pmc, synthesis, uq
 from .perception import MLPPredictor, TrainConfig
 
-
-class RuntimeError_(Exception):
-    pass
+#: Event-log names of the two slots.
+NAMES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -31,34 +30,6 @@ class SystemState:
     phi: object              # MLPParams
     kappa: tuple             # (c1, c2)
     version: int = 0
-
-
-@dataclass
-class Component:
-    name: str                          # "A" | "B"
-    prediction_active: bool
-    repair_active: bool = False
-    state: SystemState = None
-
-    def __post_init__(self):
-        if self.prediction_active and self.repair_active:
-            raise RuntimeError_("a component cannot run both modules at once")
-
-
-class Cache:
-    """Keyed store with atomic snapshot publication."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._store = {}
-
-    def put(self, key, value):
-        with self._lock:
-            self._store[key] = value
-
-    def take(self, key):
-        with self._lock:
-            return self._store.pop(key, None)
 
 
 @dataclass
@@ -78,37 +49,25 @@ class RepairConfig:
 
 
 class DualRuntime:
-    """Two functionally identical components plus the shared cache."""
+    """Two state slots, the active index and at most one pending repair."""
 
-    def __init__(self, initial_state, datasets, repair_cfg, threaded=False):
-        self.components = {
-            "A": Component("A", prediction_active=True, state=initial_state),
-            "B": Component("B", prediction_active=False, state=initial_state),
-        }
+    def __init__(self, initial_state, datasets, repair_cfg):
+        self.states = [initial_state, initial_state]
+        self.active = 0
+        self.pending = None              # (accepted, state) not yet installed
         self.datasets = dict(datasets)   # role -> master Dataset (grows over repairs)
         self.working = dict(datasets)    # role -> current working Dataset
         self.cfg = repair_cfg
-        self.cache = Cache()
-        self.threaded = threaded
-        self.repair_in_flight = False
         self.events = []                 # (step, active, version, event, detail)
         self.unserved = 0
         self._repair_seed = 0
-        self._thread = None
         self._predictor = MLPPredictor(initial_state.phi)
 
     # -- prediction side ---------------------------------------------------
 
     @property
-    def active(self):
-        active = [c for c in self.components.values() if c.prediction_active]
-        if len(active) != 1:
-            raise RuntimeError_(f"{len(active)} active prediction modules")
-        return active[0]
-
-    @property
     def state(self):
-        return self.active.state
+        return self.states[self.active]
 
     def predict(self, x):
         return self._predictor.predict(x)
@@ -120,26 +79,15 @@ class DualRuntime:
     # -- repair side -------------------------------------------------------
 
     def signal_repair(self, ce, reasons, step):
-        """Monitor-issued repair signal; ignored while one is in flight."""
-        if self.repair_in_flight:
-            self._log(step, "signal_suppressed", ",".join(sorted(reasons)))
+        """Monitor-issued repair signal: run the repair and hold its result;
+        ignored while an earlier result is pending."""
+        detail = ",".join(sorted(reasons))
+        if self.pending is not None:
+            self._log(step, "signal_suppressed", detail)
             return False
-        self.cache.put("repair_signal", {"ce": ce, "reasons": reasons, "step": step})
-        self._log(step, "signal", ",".join(sorted(reasons)))
-        self.repair_in_flight = True
-        spare = [c for c in self.components.values() if not c.prediction_active][0]
-        spare.repair_active = True
-        if self.threaded:
-            self._thread = threading.Thread(target=self._repair_worker)
-            self._thread.start()
-        else:
-            self._repair_worker()
+        self._log(step, "signal", detail)
+        self.pending = self.run_repair(ce, step)
         return True
-
-    def _repair_worker(self):
-        signal = self.cache.take("repair_signal")
-        result = self.run_repair(signal["ce"], signal["step"])
-        self.cache.put("repair_result", result)
 
     def run_repair(self, ce, step):
         """Three-phase pipeline: dataset update + retrain, uncertainty
@@ -169,58 +117,29 @@ class DualRuntime:
                 u, cfg.model, cfg.param_space, cfg.state_specs, cfg.reward_specs,
                 base_valuation=cfg.base_valuation)
             self.working = working
-            new_state = SystemState(phi, kappa, self.state.version + 1)
-            self.cache.put("published_state", new_state)
             self._log(step, "accept",
                       f"test_accuracy={test_acc:.4f};kappa={kappa};feasible={feasible}")
-            return (True, new_state)
+            return (True, SystemState(phi, kappa, self.state.version + 1))
         except (perception.PerceptionError, uq.QuantifyError,
                 synthesis.SynthesisError, pmc.CheckError) as exc:
             self._log(step, "reject", f"error={exc}")
             return (False, None)
 
-    def _log(self, step, event, detail):
-        self.events.append((step, self.active.name, self.state.version, event, detail))
-
     def finish_repair(self, step):
-        """Collect the repair result at a step boundary; swap on accept."""
-        if not self.repair_in_flight:
+        """Install the pending result at a step boundary; on accept the
+        repaired slot starts serving.  None when nothing is pending."""
+        if self.pending is None:
             return None
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        result = self.cache.take("repair_result")
-        if result is None:
-            return None
-        accepted, new_state = result
-        spare = [c for c in self.components.values() if not c.prediction_active][0]
-        spare.repair_active = False
+        (accepted, new_state), self.pending = self.pending, None
         if accepted:
-            spare.state = new_state
-            self.swap_roles(step)
-        self.repair_in_flight = False
+            old, self.active = self.active, 1 - self.active
+            self.states[self.active] = new_state
+            self._predictor = MLPPredictor(new_state.phi)
+            self._log(step, "swap", f"{NAMES[old]}->{NAMES[self.active]}")
         return accepted
 
-    def swap_roles(self, step=None):
-        """Activate the repaired component's prediction module."""
-        published = self.cache.take("published_state")
-        if published is None:
-            self._log(step, "swap_noop", "no completed repair")
-            return self
-        old_active = self.active
-        new_active = [c for c in self.components.values() if c is not old_active][0]
-        # flip both flags together so there is never zero or two active modules
-        old_active.prediction_active, new_active.prediction_active = False, True
-        self._predictor = MLPPredictor(new_active.state.phi)
-        self._log(step, "swap", f"{old_active.name}->{new_active.name}")
-        self.active  # assert exactly-one-active
-        return self
-
-    def assert_invariants(self):
-        active = [c for c in self.components.values() if c.prediction_active]
-        assert len(active) == 1, "exactly one prediction module must be active"
-        for c in self.components.values():
-            assert not (c.prediction_active and c.repair_active)
+    def _log(self, step, event, detail):
+        self.events.append((step, NAMES[self.active], self.state.version, event, detail))
 
     def write_event_log(self, path):
         with open(path, "w", newline="") as fh:

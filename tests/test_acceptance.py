@@ -138,8 +138,8 @@ def test_criterion_6_availability(comparison):
         sa = results["sa"]
         assert sa.repairs_signalled >= 1
         assert sa.unserved == 0
-        # the experiment loop asserts the exactly-one-active invariant after
-        # every world step; reaching this point means it held at each of them
+        # the runtime serves from one index into its two state slots, so zero
+        # or two active predictors cannot be represented
         assert sa.attempts > 0
 
 

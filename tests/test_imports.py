@@ -1,4 +1,5 @@
-"""Every import in the library is used (a stdlib stand-in for pyflakes)."""
+"""Every import in the library and the scripts is used (a stdlib stand-in
+for pyflakes)."""
 
 import ast
 import os
@@ -8,7 +9,12 @@ import pytest
 import colavoid
 
 SRC = os.path.dirname(colavoid.__file__)
-MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts")
+#: test id -> path; library modules by file name, scripts as scripts/<name>
+FILES = {f: os.path.join(SRC, f) for f in sorted(os.listdir(SRC)) if f.endswith(".py")}
+FILES.update({f"scripts/{f}": os.path.join(SCRIPTS, f)
+              for f in sorted(os.listdir(SCRIPTS)) if f.endswith(".py")})
 
 
 def unused_imports(source):
@@ -36,7 +42,7 @@ def test_detector_finds_unused_and_ignores_used():
     assert unused_imports(source) == [(3, "os"), (4, "PI")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", FILES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
+    with open(FILES[module]) as fh:
         assert unused_imports(fh.read()) == []

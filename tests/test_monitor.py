@@ -247,12 +247,24 @@ class TestTraceExport:
         m = mon.Monitor(small_cfg())
         for i in range(3):
             m.observe(obs(i, 1, 1))
-            m.log_trace_row(i, 1, 1, repair_flag=False)
+            m.log_trace_row(i, 1, 1)
         path = tmp_path / "trace.csv"
         m.write_trace(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "step"
         assert len(lines) == 4
+
+    def test_drain_marks_the_repair_row(self):
+        m = mon.Monitor(small_cfg(t_monitor=3))
+        for i in range(3):
+            m.observe(obs(i, 1, 1))
+            m.log_trace_row(i, 1, 1)
+        assert len(m.drain_counterexamples()) == 0      # no misclassification
+        for i in range(3, 6):
+            m.observe(obs(i, 0, 1))
+            m.log_trace_row(i, 0, 1)
+        assert len(m.drain_counterexamples()) == 3
+        assert [row[-1] for row in m._trace] == [0, 0, 0, 0, 0, 1]
 
 
 class TestConfigValidation:

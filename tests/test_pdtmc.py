@@ -127,7 +127,7 @@ class TestValidateStochastic:
 class TestReferenceModel:
     def test_structure(self, ref_model):
         assert len(ref_model.states) == 10
-        assert len(ref_model.params) == 8
+        assert len(ref_model.params) == 6
         absorbing = [s for s, labels in ref_model.states.items()
                      if labels & {"done", "collision"}]
         assert len(absorbing) == 2

@@ -1,5 +1,5 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from colavoid import perception as pc
 from colavoid import pmc, runtime, simenv, synthesis
@@ -16,7 +16,7 @@ def make_ce(n, seed):
                        for s in states], role="train")
 
 
-def make_runtime(ref_model, threaded=False, test_gate=0.0, seed=0):
+def make_runtime(ref_model, test_gate=0.0, seed=0):
     oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
     datasets = dict(zip(("train", "val", "confusion", "test"),
                         simenv.gen_initial_datasets(
@@ -33,32 +33,19 @@ def make_runtime(ref_model, threaded=False, test_gate=0.0, seed=0):
                                      bound=15.0),),
         base_valuation={"p_collider": 0.8, "p_occ": 0.25})
     state = runtime.SystemState(pc.MLPParams.init_random(seed), (0.2, 0.0), 0)
-    return runtime.DualRuntime(state, datasets, cfg, threaded=threaded)
+    return runtime.DualRuntime(state, datasets, cfg)
+
+
+def active_name(rt):
+    return runtime.NAMES[rt.active]
 
 
 class TestComponents:
-    def test_both_modules_at_once_forbidden(self):
-        with pytest.raises(runtime.RuntimeError_):
-            runtime.Component("A", prediction_active=True, repair_active=True)
-
     def test_exactly_one_active(self, ref_model):
         rt = make_runtime(ref_model)
-        rt.assert_invariants()
-        assert rt.active.name == "A"
-
-    def test_zero_active_detected(self, ref_model):
-        rt = make_runtime(ref_model)
-        rt.components["A"].prediction_active = False
-        with pytest.raises(runtime.RuntimeError_):
-            rt.active
-
-
-class TestCache:
-    def test_put_take(self):
-        c = runtime.Cache()
-        c.put("k", 3)
-        assert c.take("k") == 3
-        assert c.take("k") is None
+        assert active_name(rt) == "A"
+        assert rt.states[0] is rt.states[1] is rt.state
+        assert rt.pending is None
 
 
 class TestPrediction:
@@ -81,9 +68,10 @@ class TestRepairPipeline:
         assert rt.signal_repair(ce, {"accuracy"}, step=100)
         accepted = rt.finish_repair(step=101)
         assert accepted is True
-        assert rt.active.name == "B"
+        assert active_name(rt) == "B"
         assert rt.state.version == 1
-        rt.assert_invariants()
+        assert [e[3] for e in rt.events] == ["signal", "accept", "swap"]
+        assert rt.events[-1] == (101, "B", 1, "swap", "A->B")
 
     def test_masters_grow_by_counterexamples(self, ref_model):
         rt = make_runtime(ref_model, test_gate=0.0)
@@ -100,7 +88,7 @@ class TestRepairPipeline:
         rt.signal_repair(ce, {"accuracy"}, step=1)
         accepted = rt.finish_repair(step=2)
         assert accepted is False
-        assert rt.active.name == "A"
+        assert active_name(rt) == "A"
         assert rt.state.version == 0
         assert any(e[3] == "reject" for e in rt.events)
 
@@ -115,9 +103,8 @@ class TestRepairPipeline:
         assert rt.finish_repair(step=2) is False
         assert any("forced failure" in e[4] for e in rt.events)
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_check_error_is_reject(self, ref_model, monkeypatch, threaded):
-        rt = make_runtime(ref_model, threaded=threaded, test_gate=0.0)
+    def test_check_error_is_reject(self, ref_model, monkeypatch):
+        rt = make_runtime(ref_model, test_gate=0.0)
         x = (0.0, 5.0, 3.0, 1.0, 0.0)
         before = rt.predict(x)
 
@@ -129,19 +116,18 @@ class TestRepairPipeline:
         assert rt.finish_repair(step=2) is False
         assert any(e[3] == "reject" and "forced check failure" in e[4]
                    for e in rt.events)
-        assert rt.active.name == "A" and rt.state.version == 0
+        assert active_name(rt) == "A" and rt.state.version == 0
         assert rt.predict(x) == before
-        rt.assert_invariants()
         monkeypatch.undo()
         assert rt.signal_repair(make_ce(60, seed=5), {"safety"}, step=3)
         assert rt.finish_repair(step=4) is True
-        assert rt.active.name == "B"
+        assert active_name(rt) == "B"
 
     def test_signal_suppressed_while_in_flight(self, ref_model):
         rt = make_runtime(ref_model, test_gate=0.0)
         rt.signal_repair(make_ce(60, seed=5), {"accuracy"}, step=1)
-        # sequential mode finishes the pipeline inside signal_repair, but the
-        # flight flag stays up until the step-boundary collection
+        # the pipeline ran inside signal_repair, but its result stays pending
+        # until the step-boundary collection
         assert not rt.signal_repair(make_ce(20, seed=6), {"time"}, step=2)
         assert any(e[3] == "signal_suppressed" for e in rt.events)
         rt.finish_repair(step=3)
@@ -153,49 +139,78 @@ class TestRepairPipeline:
         assert rt.finish_repair(step=0) is None
 
     def test_repair_ignores_predictions_in_flight(self, ref_model):
-        rt = make_runtime(ref_model, threaded=True, test_gate=0.0)
+        rt = make_runtime(ref_model, test_gate=0.0)
+        old_phi = rt.state.phi
         rt.signal_repair(make_ce(60, seed=8), {"accuracy"}, step=1)
-        x = (0.0, 5.0, 3.0, 1.0, 0.0)
-        before = pc.MLPPredictor(rt.components["A"].state.phi).predict(x)
-        assert rt.predict(x) == before    # still served by the old component
-        rt.finish_repair(step=2)
-        rt.assert_invariants()
+        xs = simenv.ball_sample(simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0),
+                                2.0, 20, np.random.default_rng(8))
+        # between the signal and the finish the old component still serves
+        assert active_name(rt) == "A" and rt.state.phi is old_phi
+        for s in xs:
+            assert rt.predict(s.as_tuple()) == pc.MLPPredictor(old_phi).predict(s.as_tuple())
+        assert rt.finish_repair(step=2) is True
+        new_phi = rt.state.phi
+        assert new_phi is not old_phi
+        for s in xs:
+            assert rt.predict(s.as_tuple()) == pc.MLPPredictor(new_phi).predict(s.as_tuple())
 
 
 class TestSwap:
-    def test_swap_without_published_state_is_noop(self, ref_model):
-        rt = make_runtime(ref_model)
-        rt.swap_roles(step=0)
-        assert rt.active.name == "A"
-        assert any(e[3] == "swap_noop" for e in rt.events)
-
     def test_double_swap_restores_roles(self, ref_model):
-        rt = make_runtime(ref_model)
-        s1 = runtime.SystemState(rt.state.phi, (0.5, 0.1), 1)
-        rt.components["B"].state = s1
-        rt.cache.put("published_state", s1)
-        rt.swap_roles(step=1)
-        assert rt.active.name == "B" and rt.state.kappa == (0.5, 0.1)
-        s2 = runtime.SystemState(rt.state.phi, (0.3, 0.0), 2)
-        rt.components["A"].state = s2
-        rt.cache.put("published_state", s2)
-        rt.swap_roles(step=2)
-        assert rt.active.name == "A" and rt.state.kappa == (0.3, 0.0)
+        rt = make_runtime(ref_model, test_gate=0.0)
+        assert rt.signal_repair(make_ce(60, seed=11), {"accuracy"}, step=1)
+        assert rt.finish_repair(step=1) is True
+        assert active_name(rt) == "B" and rt.state.version == 1
+        first = rt.state
+        assert rt.signal_repair(make_ce(60, seed=12), {"accuracy"}, step=2)
+        assert rt.finish_repair(step=2) is True
+        assert active_name(rt) == "A" and rt.state.version == 2
+        assert rt.states == [rt.state, first]
+        swaps = [(e[0], e[1], e[2], e[4]) for e in rt.events if e[3] == "swap"]
+        assert swaps == [(1, "B", 1, "A->B"), (2, "A", 2, "B->A")]
 
 
-class TestThreadedEquivalence:
-    def test_sequential_and_threaded_agree(self, ref_model):
-        results = []
-        for threaded in (False, True):
-            rt = make_runtime(ref_model, threaded=threaded, test_gate=0.0)
-            rt.signal_repair(make_ce(60, seed=9), {"accuracy"}, step=1)
-            rt.finish_repair(step=2)
-            results.append(rt)
-        a, b = results
-        assert a.state.kappa == b.state.kappa
-        assert a.state.version == b.state.version
-        for wa, wb in zip(a.state.phi.weights, b.state.phi.weights):
-            assert np.array_equal(wa, wb)
+#: Distinct parameter sets, so a served predictor names the repair it came from.
+PHIS = [pc.MLPParams.init_random(seed) for seed in range(5)]
+
+
+class TestSignalFinishSequences:
+    @given(ops=st.lists(st.tuples(st.sampled_from(("signal", "finish")), st.booleans()),
+                        max_size=25))
+    @settings(max_examples=100, deadline=None)
+    def test_random_sequences(self, ops):
+        """`ops` is a list of (call, accept): `accept` decides the outcome of
+        the repair a signal runs and is ignored for a finish."""
+        rt = runtime.DualRuntime(runtime.SystemState(PHIS[0], (0.2, 0.0), 0),
+                                 {}, runtime.RepairConfig())
+        outcome = []
+
+        def forced_repair(ce, step):
+            if outcome[0]:
+                phi = PHIS[(rt.state.version + 1) % len(PHIS)]
+                return (True, runtime.SystemState(phi, (0.1, 0.0), rt.state.version + 1))
+            return (False, None)
+
+        rt.run_repair = forced_repair
+        pending = None          # expected outcome of the held result
+        accepted = 0
+        for step, (call, accept) in enumerate(ops):
+            logged = len(rt.events)
+            if call == "signal":
+                outcome[:] = [accept]
+                assert rt.signal_repair(None, {"accuracy"}, step) is (pending is None)
+                assert rt.events[logged][3] == (
+                    "signal" if pending is None else "signal_suppressed")
+                if pending is None:
+                    pending = accept
+            else:
+                assert rt.finish_repair(step) is pending
+                accepted += pending is True
+                pending = None
+            assert rt._predictor.params is rt.state.phi
+            assert rt.state.version == accepted
+            assert (rt.pending is None) == (pending is None)
+        assert sum(e[3] == "swap" for e in rt.events) == accepted
 
 
 class TestEventLog:
