@@ -1,17 +1,22 @@
 """Parametric discrete-time Markov chains and their textual model format.
 
 A PDTMC carries expression-valued transition probabilities over named,
-bounded parameters.  Instantiating a full valuation produces a concrete
-DTMC whose rows are checked for stochasticity.  The reference
-collision-avoidance chain used throughout the project is built by
-:func:`reference_model`.
+bounded parameters.  Each expression is checked against the grammar and
+compiled once, and each model is compiled to matrix form once, at
+construction; instantiating a full valuation then only evaluates the
+expressions into the transition matrix of a concrete DTMC, whose rows are
+checked for stochasticity.  The reference collision-avoidance chain used
+throughout the project is built by :func:`reference_model`.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 
 STOCHASTIC_TOL = 1e-9
@@ -33,78 +38,30 @@ class ModelSyntaxError(ModelError):
 # Parameter expressions
 # ---------------------------------------------------------------------------
 
+#: The characters and numerals of the expression grammar; Python's own
+#: numerals also allow `_`, hexadecimal, octal, binary and imaginary forms.
+_ALPHABET = re.compile(r"[\w\s.()+\-*]*", re.ASCII)
+_NUMERAL = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?")
+
+#: symbol and closure builder of each binary operator of the grammar
+_BINOPS = {
+    ast.Add: ("+", lambda f, g: lambda v: f(v) + g(v)),
+    ast.Sub: ("-", lambda f, g: lambda v: f(v) - g(v)),
+    ast.Mult: ("*", lambda f, g: lambda v: f(v) * g(v)),
+}
+
+
+@dataclass(frozen=True)
 class ParamExpr:
-    """Expression tree over numeric literals, parameters, +, - and *."""
+    """Expression over decimal numerals, parameters, +, - and *, compiled to
+    closures once; `evaluate` accepts floats or numpy arrays as values."""
 
-    def evaluate(self, valuation):
-        raise NotImplementedError
-
-    def parameters(self):
-        """Set of parameter names referenced by this expression."""
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash(str(self))
-
-
-class Num(ParamExpr):
-    def __init__(self, value):
-        self.value = float(value)
-
-    def evaluate(self, valuation):
-        return self.value
-
-    def parameters(self):
-        return set()
+    text: str                                           # canonical: parse_expr(text) == self
+    evaluate: object = field(compare=False, repr=False)  # valuation -> value
+    names: frozenset = field(compare=False)             # parameters referenced
 
     def __str__(self):
-        return format_number(self.value)
-
-
-class Param(ParamExpr):
-    def __init__(self, name):
-        self.name = name
-
-    def evaluate(self, valuation):
-        try:
-            return valuation[self.name]
-        except KeyError:
-            raise ModelError(f"no value for parameter '{self.name}'") from None
-
-    def parameters(self):
-        return {self.name}
-
-    def __str__(self):
-        return self.name
-
-
-class BinOp(ParamExpr):
-    _ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
-
-    def __init__(self, op, left, right):
-        assert op in self._ops
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def evaluate(self, valuation):
-        return self._ops[self.op](self.left.evaluate(valuation), self.right.evaluate(valuation))
-
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def __str__(self):
-        left = str(self.left)
-        right = str(self.right)
-        if isinstance(self.left, BinOp) and self.op == "*":
-            left = f"({left})"
-        # left-associative grammar: a compound right operand always needs parens
-        if isinstance(self.right, BinOp):
-            right = f"({right})"
-        return f"{left} {self.op} {right}"
+        return self.text
 
 
 def format_number(x):
@@ -114,75 +71,49 @@ def format_number(x):
     return repr(x)
 
 
-class _ExprParser:
-    """Recursive-descent parser for the transition-expression grammar."""
+def _compile(node, text, line_no):
+    """(closure over a valuation, canonical text) of one checked node;
+    ModelSyntaxError for a node outside the grammar."""
+    source = ast.get_source_segment(text, node)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        symbol, build = _BINOPS[type(node.op)]
+        left, left_text = _compile(node.left, text, line_no)
+        right, right_text = _compile(node.right, text, line_no)
+        # the grammar is left-associative: a compound right operand, and a
+        # compound left operand of '*', need parentheses
+        if isinstance(node.left, ast.BinOp) and symbol == "*":
+            left_text = f"({left_text})"
+        if isinstance(node.right, ast.BinOp):
+            right_text = f"({right_text})"
+        return build(left, right), f"{left_text} {symbol} {right_text}"
+    if isinstance(node, ast.Name):
+        name = node.id
 
-    _token_re = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?)"
-                           r"|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*]))")
-
-    def __init__(self, text, line_no):
-        self.tokens = []
-        self.line_no = line_no
-        pos = 0
-        while pos < len(text):
-            m = self._token_re.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ModelSyntaxError(f"bad character in expression: {text[pos:].strip()[0]!r}", line_no)
-                break
-            if m.group(1) is not None:
-                self.tokens.append(("num", float(m.group(1))))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2)))
-            else:
-                self.tokens.append(("op", m.group(3)))
-            pos = m.end()
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def _next(self):
-        tok = self._peek()
-        self.i += 1
-        return tok
-
-    def parse(self):
-        expr = self._sum()
-        if self.i != len(self.tokens):
-            raise ModelSyntaxError("trailing tokens in expression", self.line_no)
-        return expr
-
-    def _sum(self):
-        left = self._product()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, op = self._next()
-            left = BinOp(op, left, self._product())
-        return left
-
-    def _product(self):
-        left = self._atom()
-        while self._peek() == ("op", "*"):
-            self._next()
-            left = BinOp("*", left, self._atom())
-        return left
-
-    def _atom(self):
-        kind, value = self._next()
-        if kind == "num":
-            return Num(value)
-        if kind == "name":
-            return Param(value)
-        if (kind, value) == ("op", "("):
-            inner = self._sum()
-            if self._next() != ("op", ")"):
-                raise ModelSyntaxError("missing ')'", self.line_no)
-            return inner
-        raise ModelSyntaxError("expected number, parameter or '('", self.line_no)
+        def param(valuation):
+            try:
+                return valuation[name]
+            except KeyError:
+                raise ModelError(f"no value for parameter '{name}'") from None
+        return param, name
+    if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(source):
+        value = float(source)
+        return (lambda valuation: value), format_number(value)
+    raise ModelSyntaxError(f"unsupported {source!r} in expression {text!r}", line_no)
 
 
 def parse_expr(text, line_no=0):
-    return _ExprParser(text, line_no).parse()
+    """Check `text` against the expression grammar and compile it.  The text
+    is parsed by `ast` and checked node by node; it is never executed."""
+    text = text.strip()
+    if not _ALPHABET.fullmatch(text):
+        raise ModelSyntaxError(f"bad character in expression {text!r}", line_no)
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError:
+        raise ModelSyntaxError(f"malformed expression {text!r}", line_no) from None
+    fn, canonical = _compile(tree.body, text, line_no)
+    return ParamExpr(canonical, fn,
+                     frozenset(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +136,11 @@ class Transition:
 
 @dataclass
 class PDTMC:
-    """Parametric chain: named/labelled states, expression transitions, rewards."""
+    """Parametric chain: named/labelled states, expression transitions, rewards.
+
+    Construction also compiles the chain once for `instantiate`: the state
+    order `names`, the flat cell of each transition in the n x n matrix, the
+    reward matrix `R` and the mask of the states carrying each label."""
 
     states: dict            # name -> frozenset of labels
     initial: str
@@ -220,7 +155,7 @@ class PDTMC:
             for endpoint in (t.src, t.dst):
                 if endpoint not in self.states:
                     raise ModelError(f"undeclared state '{endpoint}' in transition")
-            for p in t.expr.parameters():
+            for p in t.expr.names:
                 if p not in self.params:
                     raise ModelError(f"undeclared parameter '{p}'")
         for (src, dst) in self.rewards:
@@ -228,9 +163,16 @@ class PDTMC:
                 raise ModelError("reward references undeclared state")
             if self.rewards[(src, dst)] < 0:
                 raise ModelError("transition rewards must be nonnegative")
-
-    def states_with_label(self, label):
-        return {s for s, labels in self.states.items() if label in labels}
+        self.names = list(self.states)
+        index = {s: i for i, s in enumerate(self.names)}
+        n = len(self.names)
+        self.cells = np.array([index[t.src] * n + index[t.dst] for t in self.transitions],
+                              dtype=np.intp)
+        self.R = np.zeros((n, n))
+        for (src, dst), reward in self.rewards.items():
+            self.R[index[src], index[dst]] = reward
+        self.labels = {label: np.array([label in self.states[s] for s in self.names])
+                       for label in set().union(*self.states.values())}
 
     def __eq__(self, other):
         if not isinstance(other, PDTMC):
@@ -243,15 +185,16 @@ class PDTMC:
 
 @dataclass
 class DTMC:
-    """Concrete chain with numeric transition probabilities."""
+    """Concrete chain.  P[i, j] and R[i, j] are the probability and the reward
+    of the move from state names[i] to names[j]; labels maps each label to
+    the mask of the states carrying it; initial is a state index.  Chains
+    instantiated from one model share its names, labels and R."""
 
-    states: dict            # name -> frozenset of labels
-    initial: str
-    probs: dict             # (src, dst) -> float
-    rewards: dict           # (src, dst) -> float
-
-    def states_with_label(self, label):
-        return {s for s, labels in self.states.items() if label in labels}
+    names: list
+    labels: dict
+    initial: int
+    P: np.ndarray
+    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -325,7 +268,7 @@ def parse_model(text):
                 if endpoint not in states:
                     raise ModelSyntaxError(f"undeclared state '{endpoint}'", line_no)
             expr = parse_expr(m.group(3), line_no)
-            for p in expr.parameters():
+            for p in expr.names:
                 if p not in params:
                     raise ModelSyntaxError(f"undeclared parameter '{p}'", line_no)
             transitions.append(Transition(src, dst, expr))
@@ -372,14 +315,15 @@ def instantiate(model, valuation):
         v = valuation[name]
         if not (decl.lo - 1e-12 <= v <= decl.hi + 1e-12):
             raise ModelError(f"value {v} for '{name}' outside bounds [{decl.lo}, {decl.hi}]")
-    probs = {}
-    for t in model.transitions:
-        p = t.expr.evaluate(valuation)
+    values = [t.expr.evaluate(valuation) for t in model.transitions]
+    for t, p in zip(model.transitions, values):
         if not math.isfinite(p):
             raise ModelError(f"transition {t.src}->{t.dst} evaluates to non-finite {p}")
-        probs[(t.src, t.dst)] = probs.get((t.src, t.dst), 0.0) + p
-    chain = DTMC(states=dict(model.states), initial=model.initial,
-                 probs=probs, rewards=dict(model.rewards))
+    n = len(model.names)
+    # bincount adds parallel transitions in declaration order
+    P = np.bincount(model.cells, weights=values, minlength=n * n).reshape(n, n)
+    chain = DTMC(names=model.names, labels=model.labels,
+                 initial=model.names.index(model.initial), P=P, R=model.R)
     report = validate_stochastic(chain)
     if report:
         raise ModelError("instantiation is not stochastic: " + "; ".join(report))
@@ -388,16 +332,16 @@ def instantiate(model, valuation):
 
 def validate_stochastic(chain):
     """List every stochasticity violation; an empty list means the chain is valid."""
-    violations = []
-    sums = {s: 0.0 for s in chain.states}
-    for (src, dst), p in chain.probs.items():
-        if not (-STOCHASTIC_TOL <= p <= 1.0 + STOCHASTIC_TOL):
-            violations.append(f"state {src}: probability {p} to {dst} outside [0, 1]")
-        sums[src] += p
-    for s, total in sums.items():
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            violations.append(f"state {s}: outgoing probabilities sum to {total}")
-    return violations
+    P, names = chain.P, chain.names
+    outside = ~((P >= -STOCHASTIC_TOL) & (P <= 1.0 + STOCHASTIC_TOL))
+    sums = P.sum(axis=1)
+    unsummed = np.abs(sums - 1.0) > STOCHASTIC_TOL
+    if not (outside.any() or unsummed.any()):
+        return []
+    return ([f"state {names[i]}: probability {P[i, j]} to {names[j]} outside [0, 1]"
+             for i, j in zip(*np.nonzero(outside))]
+            + [f"state {names[i]}: outgoing probabilities sum to {sums[i]}"
+               for i in np.flatnonzero(unsummed)])
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,9 @@ def loss_and_gradients(params, X_std, y):
     return _bce_loss(p[:, 0], y), grads_w, grads_b
 
 
-def dataset_loss(params, dataset):
-    X, y = dataset.matrix()
-    _, p = _forward_pass(params.weights, params.biases, standardize(X))
+def dataset_loss(params, X_std, y):
+    """Mean BCE loss over a standardized dataset matrix."""
+    _, p = _forward_pass(params.weights, params.biases, X_std)
     return _bce_loss(p[:, 0], y)
 
 
@@ -195,6 +195,8 @@ def train(init, train_set, val_set, cfg):
     rng = np.random.default_rng(cfg.seed)
     X, y = train_set.matrix()
     X = standardize(X)
+    X_val, y_val = val_set.matrix()
+    X_val = standardize(X_val)
     n = len(y)
     losses, snapshots = [], []
     for _ in range(cfg.epochs):
@@ -209,7 +211,7 @@ def train(init, train_set, val_set, cfg):
             for b, g in zip(biases, gb):
                 b -= cfg.learning_rate * g
         params = MLPParams(weights, biases)
-        val_loss = dataset_loss(params, val_set)
+        val_loss = dataset_loss(params, X_val, y_val)
         if not math.isfinite(val_loss):
             raise PerceptionError("training diverged (non-finite validation loss)")
         losses.append(val_loss)

@@ -25,21 +25,18 @@ class CheckError(Exception):
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Constrained-reachability bound: P[!avoid U target] {>=,<=} bound."""
+    """Constrained-reachability bound: P[!avoid U target] >= bound."""
 
     avoid: str
     target: str
-    comparison: str = ">="
     bound: float = 0.9
 
     def __post_init__(self):
-        if self.comparison not in (">=", "<="):
-            raise CheckError(f"bad comparison {self.comparison!r}")
         if not 0.0 <= self.bound <= 1.0:
             raise CheckError("probability bound must lie in [0, 1]")
 
     def satisfied(self, value):
-        return value >= self.bound if self.comparison == ">=" else value <= self.bound
+        return value >= self.bound
 
     @property
     def name(self):
@@ -85,53 +82,41 @@ class QRTable:
 # Graph helpers
 # ---------------------------------------------------------------------------
 
-def _index_chain(chain):
-    states = list(chain.states)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    P = np.zeros((n, n))
-    for (src, dst), p in chain.probs.items():
-        P[index[src], index[dst]] += p
-    return states, index, P
-
-
 def _backward_reachable(P, sources, allowed):
-    """States in `allowed` from which some state in `sources` is reachable
-    through `allowed` states (sources included)."""
-    n = P.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    frontier = [i for i in sources]
-    reached[frontier] = True
-    pos = (P > 0.0)
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in np.nonzero(pos[:, j])[0]:
-                if allowed[i] and not reached[i]:
-                    reached[i] = True
-                    nxt.append(i)
-        frontier = nxt
-    return reached
+    """Mask of the states in `allowed` from which some state of the mask
+    `sources` is reachable through `allowed` states (sources included)."""
+    edge = P > 0.0
+    reached = sources
+    while True:
+        grown = reached | (allowed & (edge @ reached))
+        if (grown == reached).all():
+            return grown
+        reached = grown
 
 
-def _check_absorbing(states, P, start, stop, what):
-    """Raise when a state reachable from `start` without entering the `stop`
-    set cannot reach that set, so a sampled path could stay out forever."""
+def _check_absorbing(chain, stop, what):
+    """Raise when a state reachable from the initial state without entering
+    the `stop` set cannot reach that set, so a sampled path could stay out
+    forever."""
+    P, start = chain.P, chain.initial
     if stop[start]:
         return
-    outside = _backward_reachable(P.T, [start], ~stop)
-    reaches = _backward_reachable(P, np.nonzero(stop)[0], np.ones(len(states), dtype=bool))
-    stuck = [states[i] for i in np.nonzero(outside & ~reaches)[0]]
+    outside = _backward_reachable(P.T, np.arange(len(P)) == start, ~stop)
+    reaches = _backward_reachable(P, stop, np.ones(len(P), dtype=bool))
+    stuck = [chain.names[i] for i in np.flatnonzero(outside & ~reaches)]
     if stuck:
         raise CheckError(f"chain is not absorbing: states {stuck} reachable from "
-                         f"{states[start]!r} cannot reach the {what} states")
+                         f"{chain.names[start]!r} cannot reach the {what} states")
 
 
-def _label_indices(chain, index, label):
-    idxs = [index[s] for s in chain.states_with_label(label)]
-    if not idxs:
-        raise CheckError(f"no state carries label {label!r}")
-    return idxs
+def _label_mask(chain, labels):
+    """Mask of the states carrying any of `labels`."""
+    mask = np.zeros(len(chain.P), dtype=bool)
+    for label in labels:
+        if label not in chain.labels or not chain.labels[label].any():
+            raise CheckError(f"no state carries label {label!r}")
+        mask |= chain.labels[label]
+    return mask
 
 
 def _solve(A, b):
@@ -148,84 +133,58 @@ def _solve(A, b):
     return x
 
 
+def _solve_reach(P, yes, unknown):
+    """x = 1 on the mask `yes`, x = P x on the mask `unknown`, 0 elsewhere."""
+    x = yes.astype(float)
+    idx = np.flatnonzero(unknown)
+    if len(idx):
+        A = np.eye(len(idx)) - P[np.ix_(idx, idx)]
+        x[idx] = _solve(A, P[np.ix_(idx, np.flatnonzero(yes))].sum(axis=1))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Core queries
 # ---------------------------------------------------------------------------
 
-def until_probabilities(chain, avoid, target):
-    """Per-state probabilities of !avoid U target, as a dict."""
-    states, index, P = _index_chain(chain)
-    n = len(states)
-    target_idx = _label_indices(chain, index, target)
-    avoid_idx = _label_indices(chain, index, avoid)
-
-    is_target = np.zeros(n, dtype=bool)
-    is_target[target_idx] = True
-    is_avoid = np.zeros(n, dtype=bool)
-    is_avoid[avoid_idx] = True
-    is_avoid &= ~is_target  # target wins when a state carries both labels
-
-    # prob-0: cannot reach target through non-avoid states
-    can_reach = _backward_reachable(P, target_idx, ~is_avoid)
-    prob0 = ~can_reach | is_avoid
-    prob0[is_target] = False
-    # prob-1: cannot stray into a prob-0 state before hitting target
-    reaches_bad = _backward_reachable(P, np.nonzero(prob0)[0], ~is_target)
-    prob1 = ~reaches_bad & ~prob0
-    prob1[is_target] = True
-
-    x = np.zeros(n)
-    x[prob1] = 1.0
-    unknown = np.nonzero(~prob0 & ~prob1)[0]
-    if len(unknown):
-        A = np.eye(len(unknown)) - P[np.ix_(unknown, unknown)]
-        b = P[np.ix_(unknown, np.nonzero(prob1)[0])].sum(axis=1)
-        x[unknown] = _solve(A, b)
-    x = np.clip(x, 0.0, 1.0)
-    return {s: float(x[index[s]]) for s in states}
-
-
 def until_probability(chain, avoid, target):
     """Probability of !avoid U target from the initial state."""
-    return until_probabilities(chain, avoid, target)[chain.initial]
+    P = chain.P
+    is_target = _label_mask(chain, [target])
+    # target wins when a state carries both labels
+    is_avoid = _label_mask(chain, [avoid]) & ~is_target
+
+    # prob-0: cannot reach target through non-avoid states
+    prob0 = ~_backward_reachable(P, is_target, ~is_avoid) | is_avoid
+    prob0[is_target] = False
+    # prob-1: cannot stray into a prob-0 state before hitting target
+    prob1 = ~_backward_reachable(P, prob0, ~is_target) & ~prob0
+    prob1[is_target] = True
+
+    x = _solve_reach(P, prob1, ~prob0 & ~prob1)
+    return float(np.clip(x[chain.initial], 0.0, 1.0))
 
 
 def expected_reward_to_absorption(chain, targets):
     """Expected cumulated transition reward until first entering any
     target-labelled state; math.inf when the set is not reached almost surely."""
-    states, index, P = _index_chain(chain)
-    n = len(states)
-    target_idx = set()
-    for label in targets:
-        target_idx.update(_label_indices(chain, index, label))
-    is_target = np.zeros(n, dtype=bool)
-    is_target[list(target_idx)] = True
+    P = chain.P
+    is_target = _label_mask(chain, targets)
 
     # reachability probability of the target set from every state
-    reach = _backward_reachable(P, sorted(target_idx), np.ones(n, dtype=bool))
-    x = np.zeros(n)
-    x[is_target] = 1.0
-    unknown = np.nonzero(~is_target & reach)[0]
-    if len(unknown):
-        A = np.eye(len(unknown)) - P[np.ix_(unknown, unknown)]
-        b = P[np.ix_(unknown, np.nonzero(is_target)[0])].sum(axis=1)
-        x[unknown] = _solve(A, b)
-    if x[index[chain.initial]] < 1.0 - 1e-9:
+    reach = _backward_reachable(P, is_target, np.ones(len(P), dtype=bool))
+    x = _solve_reach(P, is_target, ~is_target & reach)
+    if x[chain.initial] < 1.0 - 1e-9:
         return math.inf
 
-    # per-state one-step expected reward
-    r = np.zeros(n)
-    for (src, dst), reward in chain.rewards.items():
-        p = chain.probs.get((src, dst), 0.0)
-        r[index[src]] += p * reward
-
-    # expected reward: y = r + P y over non-target states (y = 0 on targets)
-    rel = np.nonzero(~is_target & (x > 1.0 - 1e-9))[0]
-    y = np.zeros(n)
+    # expected reward: y = r + P y over non-target states (y = 0 on targets),
+    # with r the per-state one-step expected reward
+    r = (P * chain.R).sum(axis=1)
+    rel = np.flatnonzero(~is_target & (x > 1.0 - 1e-9))
+    y = np.zeros(len(P))
     if len(rel):
-        A = np.eye(len(rel)) - P[np.ix_(rel, rel)]
-        y[rel] = _solve(A, r[rel])
-    return float(y[index[chain.initial]])
+        y[rel] = _solve(np.eye(len(rel)) - P[np.ix_(rel, rel)], r[rel])
+    return float(y[chain.initial])
 
 
 def simulate_chain(chain, n, seed, avoid="collision", target="done",
@@ -237,33 +196,19 @@ def simulate_chain(chain, n, seed, avoid="collision", target="done",
     of the per-path rewards, for confidence-bound construction."""
     if n < 1:
         raise CheckError("need at least one path")
-    states, index, P = _index_chain(chain)
+    P, R = chain.P, chain.R
     rng = np.random.default_rng(seed)
-    target_set = set(_label_indices(chain, index, target))
-    avoid_set = set(_label_indices(chain, index, avoid)) - target_set
-    reward_set = set()
-    for label in reward_targets:
-        reward_set.update(_label_indices(chain, index, label))
-    reward_lookup = {(index[s], index[d]): w for (s, d), w in chain.rewards.items()}
+    is_target = _label_mask(chain, [target])
+    is_avoid = _label_mask(chain, [avoid]) & ~is_target
+    is_reward_stop = _label_mask(chain, reward_targets)
+    _check_absorbing(chain, is_target | is_avoid, f"{target}/{avoid}")
+    _check_absorbing(chain, is_reward_stop, "|".join(reward_targets))
 
-    n_states = len(states)
+    n_states = len(P)
     cum = np.cumsum(P, axis=1)
-    R = np.zeros((n_states, n_states))
-    for (i, j), w in reward_lookup.items():
-        R[i, j] = w
-    is_target = np.zeros(n_states, dtype=bool)
-    is_target[list(target_set)] = True
-    is_avoid = np.zeros(n_states, dtype=bool)
-    is_avoid[list(avoid_set)] = True
-    is_reward_stop = np.zeros(n_states, dtype=bool)
-    is_reward_stop[list(reward_set)] = True
-    start = index[chain.initial]
-    _check_absorbing(states, P, start, is_target | is_avoid, f"{target}/{avoid}")
-    _check_absorbing(states, P, start, is_reward_stop, "|".join(reward_targets))
-
     # all paths advance in lockstep; a path stops once its until verdict is
     # known and it has entered the reward-target set
-    s = np.full(n, start)
+    s = np.full(n, chain.initial)
     verdict = np.zeros(n, dtype=np.int8)          # 0 unknown, 1 sat, -1 unsat
     collecting = np.ones(n, dtype=bool)
     rewards = np.zeros(n)

@@ -1,7 +1,8 @@
 import pytest
 
 from colavoid import pmc, uq
-from colavoid.pdtmc import DTMC, ModelConstants, instantiate, reference_model
+from colavoid.pdtmc import (PDTMC, ModelConstants, Transition, instantiate,
+                            parse_expr, reference_model)
 
 MATRIX_C = [[2000, 290], [10, 200]]
 MATRIX_C_SHIFT = [[1000, 200], [1200, 100]]
@@ -35,12 +36,15 @@ def ref_chain(ref_model, u_initial):
 
 
 def chain_from_rows(rows, labels=None, rewards=None, initial="s0"):
-    """Small helper: rows maps state -> {successor: prob}."""
+    """Small helper: rows maps state -> {successor: prob}; the chain is
+    compiled and instantiated as a parameter-free PDTMC."""
     labels = labels or {}
     states = {s: frozenset(labels.get(s, ())) for s in rows}
-    probs = {(s, d): p for s, succ in rows.items() for d, p in succ.items()}
-    return DTMC(states=states, initial=initial, probs=probs,
-                rewards=dict(rewards or {}))
+    transitions = [Transition(s, d, parse_expr(repr(p)))
+                   for s, succ in rows.items() for d, p in succ.items()]
+    model = PDTMC(states=states, initial=initial, transitions=transitions,
+                  rewards=dict(rewards or {}), params={})
+    return instantiate(model, {})
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import pmc
-from colavoid.pdtmc import (ModelConstants, ModelError, ModelSyntaxError,
+from colavoid.pdtmc import (DTMC, ModelConstants, ModelError, ModelSyntaxError,
                             instantiate, parse_expr, parse_model,
                             reference_model, serialize_model,
                             validate_stochastic)
@@ -69,6 +70,34 @@ class TestParser:
         assert parse_expr(str(expr)) == expr
 
 
+#: values of the parameters the grammar table evaluates at
+VALUES = {"p": 0.3, "q": 0.6, "r": 0.2}
+#: (expression, its value at VALUES as Python computes it)
+ACCEPTED = [("p", 0.3), ("1 - p", 1 - 0.3), ("0.5 * (1 - q)", 0.5 * (1 - 0.6)),
+            ("1e-3 * p", 1e-3 * 0.3), (".5", 0.5), ("1.", 1.0), ("((p))", 0.3),
+            ("p - (q - r)", 0.3 - (0.6 - 0.2))]
+REJECTED = ["-p", "p / q", "p ** 2", "f(p)", "p.x", "'s'", "1j", "p q", "(p", "p)",
+            "2p", "p - - q", "1_000", "0x10", "", "p +"]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("text,value", ACCEPTED)
+    def test_accepted(self, text, value):
+        expr = parse_expr(text, 7)
+        assert expr.evaluate(VALUES) == value
+        assert parse_expr(str(expr)) == expr
+
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected_naming_the_line(self, text):
+        with pytest.raises(ModelSyntaxError, match="line 7"):
+            parse_expr(text, 7)
+
+    def test_evaluate_accepts_arrays(self):
+        p, q = np.array([0.0, 0.25, 1.0]), np.array([1.0, 0.5, 0.0])
+        value = parse_expr("0.5 * (1 - q) + p").evaluate({"p": p, "q": q})
+        assert np.array_equal(value, 0.5 * (1 - q) + p)
+
+
 class TestInstantiate:
     def test_default_rates(self, ref_model, u_initial):
         chain = instantiate(ref_model, ref_valuation(u_initial, 1.0, 0.0))
@@ -89,7 +118,7 @@ class TestInstantiate:
         val = {"p_collider": 1.0, "p_occ": 0.0, "p00": 1.0, "p01": 0.0,
                "p10": 0.0, "p11": 1.0, "c1": 1.0, "c2": 0.0}
         chain = instantiate(ref_model, val)
-        assert set(chain.probs.values()) <= {0.0, 1.0}
+        assert set(chain.P.flat) <= {0.0, 1.0}
 
     @given(p_collider=st.floats(0, 1), p_occ=st.floats(0, 1),
            p00=st.floats(0, 1), p11=st.floats(0, 1),
@@ -109,18 +138,14 @@ class TestValidateStochastic:
         assert validate_stochastic(ref_chain) == []
 
     def test_deficient_row_reported(self, ref_chain):
-        from colavoid.pdtmc import DTMC
-        bad = DTMC(states={"a": frozenset(), "b": frozenset()}, initial="a",
-                   probs={("a", "a"): 0.5, ("a", "b"): 0.4, ("b", "b"): 1.0},
-                   rewards={})
+        bad = DTMC(names=["a", "b"], labels={}, initial=0,
+                   P=np.array([[0.5, 0.4], [0.0, 1.0]]), R=np.zeros((2, 2)))
         report = validate_stochastic(bad)
         assert len(report) == 1 and "state a" in report[0]
 
     def test_negative_probability_reported(self):
-        from colavoid.pdtmc import DTMC
-        bad = DTMC(states={"a": frozenset(), "b": frozenset()}, initial="a",
-                   probs={("a", "b"): -0.1, ("a", "a"): 1.1, ("b", "b"): 1.0},
-                   rewards={})
+        bad = DTMC(names=["a", "b"], labels={}, initial=0,
+                   P=np.array([[1.1, -0.1], [0.0, 1.0]]), R=np.zeros((2, 2)))
         assert any("outside [0, 1]" in line for line in validate_stochastic(bad))
 
 

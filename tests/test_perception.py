@@ -24,6 +24,8 @@ def reference_train(init, train_set, val_set, cfg):
     rng = np.random.default_rng(cfg.seed)
     X, y = train_set.matrix()
     X = pc.standardize(X)
+    X_val, y_val = val_set.matrix()
+    X_val = pc.standardize(X_val)
     losses, snapshots = [], []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
@@ -33,7 +35,7 @@ def reference_train(init, train_set, val_set, cfg):
             p = pc.MLPParams(
                 [w - cfg.learning_rate * g for w, g in zip(p.weights, gw)],
                 [b - cfg.learning_rate * g for b, g in zip(p.biases, gb)])
-        losses.append(pc.dataset_loss(p, val_set))
+        losses.append(pc.dataset_loss(p, X_val, y_val))
         snapshots.append(p)
     return snapshots[pc.best_epoch(losses)]
 
@@ -122,7 +124,7 @@ class TestGradients:
         ds = make_dataset(30, lambda x: x[1] > 5, seed=2)
         X, y = ds.matrix()
         loss, _, _ = pc.loss_and_gradients(params, pc.standardize(X), y)
-        assert loss == pytest.approx(pc.dataset_loss(params, ds))
+        assert loss == pytest.approx(pc.dataset_loss(params, pc.standardize(X), y))
 
 
 class TestBestEpoch:

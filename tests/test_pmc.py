@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestResiduals:
     def test_linear_solve_residual_bound(self, corpus_chains):
         # _solve raises beyond 1e-10; recheck externally for the fixpoint system
         chain = corpus_chains["fixpoint"]
-        x = pmc.until_probabilities(chain, "collision", "done")["s0"]
+        x = pmc.until_probability(chain, "collision", "done")
         assert abs((1 - 0.25) * x - 0.5) <= 1e-10
 
     @pytest.mark.parametrize("b", [[1.0, 1.0], [1.0, 2.0]])
@@ -184,3 +185,18 @@ class TestQuantifyCandidates:
         with pytest.raises(pmc.CheckError):
             pmc.quantify_candidates(ref_model, u_initial, grid, state_specs,
                                     reward_specs)
+
+    @pytest.mark.parametrize("rates,digest", [
+        ("u_initial", "2c7dffbfb5e108a57a23c1dd65052315c50184bd0a48e1669e6fba89b01c67cd"),
+        ("u_shifted", "99184b6c6d29b67f0bde41fd3f987d8927ba3f4dfe4d07c08d477692499857b0"),
+    ])
+    def test_golden_tables(self, request, ref_model, default_specs, rates, digest):
+        # sha256 of the 11 x 11 QR rows written with float.hex(): any change
+        # to instantiation or to the solves must reproduce them bit for bit
+        state_specs, reward_specs = default_specs
+        grid = synthesis.discretize(synthesis.ParamSpace())
+        qr = pmc.quantify_candidates(ref_model, request.getfixturevalue(rates), grid,
+                                     state_specs, reward_specs,
+                                     base_valuation={"p_collider": 0.8, "p_occ": 0.25})
+        text = "\n".join(" ".join(float(v).hex() for v in row) for row in qr.rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
