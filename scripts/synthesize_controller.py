@@ -45,8 +45,7 @@ def main():
     print(f"chosen: c1={kappa[0]:g} c2={kappa[1]:g} (feasible={feasible})")
     print(f"verified: safety={safety:.5f} expected_time={time:.4f}")
     if args.report:
-        synthesis.write_report(args.report, synthesis.discretize(space), qr,
-                               kappa, feasible)
+        synthesis.write_report(args.report, qr, kappa, feasible)
         print(f"sweep written to {args.report}")
 
 

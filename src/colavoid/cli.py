@@ -40,9 +40,8 @@ def cmd_synthesize(args):
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(result, fh, indent=2)
-        grid = synthesis.discretize(space)
         synthesis.write_report(os.path.splitext(args.out)[0] + "_report.csv",
-                               grid, qr, kappa, feasible)
+                               qr, kappa, feasible)
     print(json.dumps(result, indent=2))
     return 0
 

@@ -5,8 +5,9 @@ bounded parameters.  Each expression is checked against the grammar and
 compiled once, and each model is compiled to matrix form once, at
 construction; instantiating a full valuation then only evaluates the
 expressions into the transition matrix of a concrete DTMC, whose rows are
-checked for stochasticity.  The reference collision-avoidance chain used
-throughout the project is built by :func:`reference_model`.
+checked for stochasticity; array-valued parameters give a stack of chains.
+The reference collision-avoidance chain used throughout the project is built
+by :func:`reference_model`.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class DTMC:
     """Concrete chain.  P[i, j] and R[i, j] are the probability and the reward
     of the move from state names[i] to names[j]; labels maps each label to
     the mask of the states carrying it; initial is a state index.  Chains
-    instantiated from one model share its names, labels and R."""
+    instantiated from one model share its names, labels and R; a stack of K
+    of them has a (K, n, n) P."""
 
     names: list
     labels: dict
@@ -308,36 +310,66 @@ def serialize_model(model):
 # ---------------------------------------------------------------------------
 
 def instantiate(model, valuation):
-    """Evaluate every transition expression under a full valuation."""
-    for name, decl in model.params.items():
+    """Evaluate every transition expression under a full valuation.
+
+    Parameters given as arrays of one length K give one DTMC whose P is a
+    (K, n, n) stack, checked in one pass; the first failing member raises
+    the message of its scalar valuation, prefixed by "member k: "."""
+    for name in model.params:
         if name not in valuation:
             raise ModelError(f"valuation missing parameter '{name}'")
-        v = valuation[name]
-        if not (decl.lo - 1e-12 <= v <= decl.hi + 1e-12):
-            raise ModelError(f"value {v} for '{name}' outside bounds [{decl.lo}, {decl.hi}]")
-    values = [t.expr.evaluate(valuation) for t in model.transitions]
+    point = {name: np.asarray(valuation[name], dtype=float) for name in model.params}
+    shape = np.broadcast_shapes(*(v.shape for v in point.values()))
+    k = shape[0] if shape else 1
+    point = {name: np.broadcast_to(v, (k,)) for name, v in point.items()}
+    values = np.empty((k, len(model.transitions)))
+    for j, t in enumerate(model.transitions):
+        values[:, j] = t.expr.evaluate(point)
+    n = len(model.names)
+    # bincount adds parallel transitions in declaration order, member by member
+    cells = (np.arange(k)[:, None] * (n * n) + model.cells).ravel()
+    P = np.bincount(cells, weights=values.ravel(), minlength=k * n * n).reshape(k, n, n)
+    with np.errstate(invalid="ignore"):     # rows holding inf - inf sum to nan
+        outside, _, unsummed = _violations(P)
+    bad = outside.any(axis=(1, 2)) | unsummed.any(axis=1) | ~np.isfinite(values).all(axis=1)
+    for name, decl in model.params.items():
+        bad |= ~_in_bounds(decl, point[name])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = _member_error(model, {name: v[i] for name, v in point.items()},
+                                values[i], P[i])
+        raise ModelError(f"member {i}: {message}" if shape else message)
+    return DTMC(names=model.names, labels=model.labels,
+                initial=model.names.index(model.initial), P=P if shape else P[0], R=model.R)
+
+
+def _in_bounds(decl, v):
+    return (decl.lo - 1e-12 <= v) & (v <= decl.hi + 1e-12)
+
+
+def _member_error(model, point, values, P):
+    """The first violation of one member: bounds, finiteness, stochasticity."""
+    for name, decl in model.params.items():
+        if not _in_bounds(decl, point[name]):
+            return f"value {point[name]} for '{name}' outside bounds [{decl.lo}, {decl.hi}]"
     for t, p in zip(model.transitions, values):
         if not math.isfinite(p):
-            raise ModelError(f"transition {t.src}->{t.dst} evaluates to non-finite {p}")
-    n = len(model.names)
-    # bincount adds parallel transitions in declaration order
-    P = np.bincount(model.cells, weights=values, minlength=n * n).reshape(n, n)
-    chain = DTMC(names=model.names, labels=model.labels,
-                 initial=model.names.index(model.initial), P=P, R=model.R)
-    report = validate_stochastic(chain)
-    if report:
-        raise ModelError("instantiation is not stochastic: " + "; ".join(report))
-    return chain
+            return f"transition {t.src}->{t.dst} evaluates to non-finite {p}"
+    member = DTMC(names=model.names, labels=model.labels, initial=0, P=P, R=model.R)
+    return "instantiation is not stochastic: " + "; ".join(validate_stochastic(member))
+
+
+def _violations(P):
+    """(cells outside [0, 1], row sums, rows not summing to 1) of P."""
+    outside = ~((P >= -STOCHASTIC_TOL) & (P <= 1.0 + STOCHASTIC_TOL))
+    sums = P.sum(axis=-1)
+    return outside, sums, np.abs(sums - 1.0) > STOCHASTIC_TOL
 
 
 def validate_stochastic(chain):
     """List every stochasticity violation; an empty list means the chain is valid."""
     P, names = chain.P, chain.names
-    outside = ~((P >= -STOCHASTIC_TOL) & (P <= 1.0 + STOCHASTIC_TOL))
-    sums = P.sum(axis=1)
-    unsummed = np.abs(sums - 1.0) > STOCHASTIC_TOL
-    if not (outside.any() or unsummed.any()):
-        return []
+    outside, sums, unsummed = _violations(P)
     return ([f"state {names[i]}: probability {P[i, j]} to {names[j]} outside [0, 1]"
              for i, j in zip(*np.nonzero(outside))]
             + [f"state {names[i]}: outgoing probabilities sum to {sums[i]}"

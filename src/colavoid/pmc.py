@@ -2,8 +2,11 @@
 
 Supports constrained reachability P[!avoid U target] and expected
 cumulated transition reward to an absorption set, both computed by graph
-precomputation followed by a dense linear solve.  A Monte-Carlo path
-sampler acts as an independent oracle for testing.
+precomputation followed by a dense linear solve.  Both also take a stack of
+chains: members are grouped by support pattern (P > 0), the precomputation
+runs once per pattern and its systems are solved as one stack.  A single
+chain is the stack of one, so a member gets the bits it gets alone.  A
+Monte-Carlo path sampler acts as an independent oracle for testing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from .pdtmc import instantiate
 
 RESIDUAL_TOL = 1e-10
 PATH_STEP_CAP = 1_000_000
+#: candidates per stack in quantify_candidates; bounds the memory of a large grid
+STACK_SIZE = 128
 
 
 class CheckError(Exception):
@@ -66,26 +71,29 @@ class RewardSpec:
 class QRTable:
     """Per-candidate quantification results, aligned with the candidate grid."""
 
+    dim_names: tuple           # names of the candidate components
     candidates: list           # of tuples (candidate components)
     columns: list              # spec display names, state specs first
-    rows: list                 # of lists of floats (math.inf allowed for rewards)
+    rows: np.ndarray           # (candidates x columns) floats; math.inf allowed for rewards
 
     def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float)
         if len(self.rows) != len(self.candidates):
             raise CheckError("QR table rows must align with candidates")
 
     def row_for(self, candidate):
-        return self.rows[self.candidates.index(tuple(candidate))]
+        """The row of one candidate as a list of floats."""
+        return self.rows[self.candidates.index(tuple(candidate))].tolist()
 
 
 # ---------------------------------------------------------------------------
 # Graph helpers
 # ---------------------------------------------------------------------------
 
-def _backward_reachable(P, sources, allowed):
+def _backward_reachable(edge, sources, allowed):
     """Mask of the states in `allowed` from which some state of the mask
-    `sources` is reachable through `allowed` states (sources included)."""
-    edge = P > 0.0
+    `sources` is reachable through `allowed` states (sources included), over
+    the boolean support matrix `edge`."""
     reached = sources
     while True:
         grown = reached | (allowed & (edge @ reached))
@@ -101,8 +109,8 @@ def _check_absorbing(chain, stop, what):
     P, start = chain.P, chain.initial
     if stop[start]:
         return
-    outside = _backward_reachable(P.T, np.arange(len(P)) == start, ~stop)
-    reaches = _backward_reachable(P, stop, np.ones(len(P), dtype=bool))
+    outside = _backward_reachable(P.T > 0.0, np.arange(len(P)) == start, ~stop)
+    reaches = _backward_reachable(P > 0.0, stop, np.ones(len(P), dtype=bool))
     stuck = [chain.names[i] for i in np.flatnonzero(outside & ~reaches)]
     if stuck:
         raise CheckError(f"chain is not absorbing: states {stuck} reachable from "
@@ -111,7 +119,7 @@ def _check_absorbing(chain, stop, what):
 
 def _label_mask(chain, labels):
     """Mask of the states carrying any of `labels`."""
-    mask = np.zeros(len(chain.P), dtype=bool)
+    mask = np.zeros(len(chain.names), dtype=bool)
     for label in labels:
         if label not in chain.labels or not chain.labels[label].any():
             raise CheckError(f"no state carries label {label!r}")
@@ -119,28 +127,47 @@ def _label_mask(chain, labels):
     return mask
 
 
+def _groups(masks):
+    """(mask, indices of the entries equal to it) per distinct mask of a stack."""
+    members = {}
+    for i, key in enumerate(map(bytes, np.packbits(masks, axis=-1))):
+        members.setdefault(key, []).append(i)
+    return [(masks[ids[0]], np.array(ids)) for ids in members.values()]
+
+
 def _solve(A, b):
-    """Dense solve with residual check.  After graph precomputation the
-    system is nonsingular, so a singular one or a large residual is an
-    ill-posed query."""
+    """Dense solve of A x = b, or of a stack of them, with a residual check.
+    After graph precomputation every system is nonsingular, so a singular
+    one or a large residual is an ill-posed query."""
     try:
-        x = np.linalg.solve(A, b)
+        x = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise CheckError(f"singular system after precomputation ({exc})") from None
-    residual = np.max(np.abs(A @ x - b)) if len(b) else 0.0
-    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
+    residual = np.max(np.abs((A @ x[..., None])[..., 0] - b))
+    if not residual <= RESIDUAL_TOL:
         raise CheckError(f"linear solve residual {residual} exceeds {RESIDUAL_TOL}")
     return x
 
 
 def _solve_reach(P, yes, unknown):
-    """x = 1 on the mask `yes`, x = P x on the mask `unknown`, 0 elsewhere."""
-    x = yes.astype(float)
+    """Per matrix of the stack P: x = 1 on the mask `yes`, x = P x on the
+    mask `unknown`, 0 elsewhere."""
+    x = np.tile(yes.astype(float), (len(P), 1))
     idx = np.flatnonzero(unknown)
     if len(idx):
-        A = np.eye(len(idx)) - P[np.ix_(idx, idx)]
-        x[idx] = _solve(A, P[np.ix_(idx, np.flatnonzero(yes))].sum(axis=1))
+        A = np.eye(len(idx)) - P[:, idx[:, None], idx]
+        x[:, idx] = _solve(A, P[:, idx[:, None], np.flatnonzero(yes)].sum(axis=2))
     return x
+
+
+def _stack(chain):
+    """P of a chain or a stack as a (K, n, n) stack."""
+    return chain.P.reshape((-1,) + chain.P.shape[-2:])
+
+
+def _per_chain(chain, values):
+    """A float for a chain, the array of per-member values for a stack."""
+    return values if chain.P.ndim == 3 else float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -149,42 +176,47 @@ def _solve_reach(P, yes, unknown):
 
 def until_probability(chain, avoid, target):
     """Probability of !avoid U target from the initial state."""
-    P = chain.P
     is_target = _label_mask(chain, [target])
     # target wins when a state carries both labels
     is_avoid = _label_mask(chain, [avoid]) & ~is_target
-
-    # prob-0: cannot reach target through non-avoid states
-    prob0 = ~_backward_reachable(P, is_target, ~is_avoid) | is_avoid
-    prob0[is_target] = False
-    # prob-1: cannot stray into a prob-0 state before hitting target
-    prob1 = ~_backward_reachable(P, prob0, ~is_target) & ~prob0
-    prob1[is_target] = True
-
-    x = _solve_reach(P, prob1, ~prob0 & ~prob1)
-    return float(np.clip(x[chain.initial], 0.0, 1.0))
+    P = _stack(chain)
+    x = np.empty(len(P))
+    for edge, members in _groups(P > 0.0):
+        # prob-0: cannot reach target through non-avoid states
+        prob0 = ~_backward_reachable(edge, is_target, ~is_avoid) | is_avoid
+        prob0[is_target] = False
+        # prob-1: cannot stray into a prob-0 state before hitting target
+        prob1 = ~_backward_reachable(edge, prob0, ~is_target) & ~prob0
+        prob1[is_target] = True
+        x[members] = _solve_reach(P[members], prob1, ~prob0 & ~prob1)[:, chain.initial]
+    return _per_chain(chain, np.clip(x, 0.0, 1.0))
 
 
 def expected_reward_to_absorption(chain, targets):
     """Expected cumulated transition reward until first entering any
     target-labelled state; math.inf when the set is not reached almost surely."""
-    P = chain.P
     is_target = _label_mask(chain, targets)
-
-    # reachability probability of the target set from every state
-    reach = _backward_reachable(P, is_target, np.ones(len(P), dtype=bool))
-    x = _solve_reach(P, is_target, ~is_target & reach)
-    if x[chain.initial] < 1.0 - 1e-9:
-        return math.inf
-
-    # expected reward: y = r + P y over non-target states (y = 0 on targets),
-    # with r the per-state one-step expected reward
-    r = (P * chain.R).sum(axis=1)
-    rel = np.flatnonzero(~is_target & (x > 1.0 - 1e-9))
-    y = np.zeros(len(P))
-    if len(rel):
-        y[rel] = _solve(np.eye(len(rel)) - P[np.ix_(rel, rel)], r[rel])
-    return float(y[chain.initial])
+    P = _stack(chain)
+    n = P.shape[1]
+    # per-state one-step expected reward
+    r = (P * chain.R).sum(axis=2)
+    y = np.full(len(P), math.inf)
+    for edge, members in _groups(P > 0.0):
+        # reachability probability of the target set from every state
+        reach = _backward_reachable(edge, is_target, np.ones(n, dtype=bool))
+        x = _solve_reach(P[members], is_target, ~is_target & reach)
+        sure = ~(x[:, chain.initial] < 1.0 - 1e-9)
+        # expected reward: y = r + P y over the states that reach the target
+        # set almost surely (y = 0 on targets), grouped by that set
+        rel_masks = ~is_target & (x[sure] > 1.0 - 1e-9)
+        for mask, sub in _groups(rel_masks):
+            ids, rel = members[sure][sub], np.flatnonzero(mask)
+            full = np.zeros((len(ids), n))
+            if len(rel):
+                full[:, rel] = _solve(np.eye(len(rel)) - P[np.ix_(ids, rel, rel)],
+                                      r[np.ix_(ids, rel)])
+            y[ids] = full[:, chain.initial]
+    return _per_chain(chain, y)
 
 
 def simulate_chain(chain, n, seed, avoid="collision", target="done",
@@ -239,22 +271,34 @@ def quantify_candidates(model, u, grid, state_specs, reward_specs, base_valuatio
 
     `u` provides the perception rates (`u.as_valuation()`); `base_valuation`
     supplies any remaining model parameters (e.g. environment constants).
+    Candidates are checked in stacks of STACK_SIZE; a stack that fails is
+    checked again one candidate at a time, so the error names the first
+    failing candidate and its own message.
     """
     if not grid.candidates:
         raise CheckError("empty candidate grid")
     base = dict(base_valuation or {})
     base.update(u.as_valuation())
     columns = [s.name for s in state_specs] + [s.name for s in reward_specs]
-    rows = []
-    for i, cand in enumerate(grid.candidates):
-        valuation = dict(base)
-        for name, value in zip(grid.dim_names, cand):
-            valuation[name] = value
+
+    def check(values):
+        chain = instantiate(model, {**base, **dict(zip(grid.dim_names, values))})
+        return np.array([until_probability(chain, s.avoid, s.target) for s in state_specs]
+                        + [expected_reward_to_absorption(chain, s.targets)
+                           for s in reward_specs]).T
+
+    points = np.array(grid.candidates, dtype=float)
+    rows = np.empty((len(points), len(columns)))
+    for start in range(0, len(points), STACK_SIZE):
+        stop = min(start + STACK_SIZE, len(points))
         try:
-            chain = instantiate(model, valuation)
-            row = [until_probability(chain, s.avoid, s.target) for s in state_specs]
-            row += [expected_reward_to_absorption(chain, s.targets) for s in reward_specs]
-        except Exception as exc:
-            raise CheckError(f"candidate {i} ({cand}): {exc}") from exc
-        rows.append(row)
-    return QRTable(candidates=[tuple(c) for c in grid.candidates], columns=columns, rows=rows)
+            rows[start:stop] = check(points[start:stop].T)
+        except Exception:
+            for i in range(start, stop):
+                try:
+                    check(grid.candidates[i])
+                except Exception as exc:
+                    raise CheckError(f"candidate {i} ({grid.candidates[i]}): {exc}") from exc
+            raise
+    return QRTable(dim_names=tuple(grid.dim_names),
+                   candidates=[tuple(c) for c in grid.candidates], columns=columns, rows=rows)

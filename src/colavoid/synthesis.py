@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import pmc
 
 
@@ -61,30 +63,25 @@ def filter_optimal(grid, qr, state_specs, reward_specs):
     Among candidates meeting every reward bound, maximize the first state
     spec's probability; ties break toward lower first-reward expectation,
     then lexicographic candidate order.  When no candidate meets the reward
-    bounds, return the max-safety candidate with feasibility False.
+    bounds, return the max-safety candidate with feasibility False.  The
+    candidate returned is the grid's own tuple.
     """
     if len(qr.rows) != len(grid.candidates) or list(qr.candidates) != list(grid.candidates):
         raise SynthesisError("QR table is not aligned with the candidate grid")
-    n_state = len(state_specs)
-
-    def safety(row):
-        return row[0] if n_state else 1.0
-
-    def reward_key(row):
-        return row[n_state] if len(row) > n_state else 0.0
-
-    def meets_rewards(row):
-        return all(spec.satisfied(v) for spec, v in zip(reward_specs, row[n_state:]))
-
-    pool = [(c, r) for c, r in zip(grid.candidates, qr.rows) if meets_rewards(r)]
-    feasible_rewards = bool(pool)
-    if not pool:
-        pool = list(zip(grid.candidates, qr.rows))
-    best = min(pool, key=lambda cr: (-safety(cr[1]), reward_key(cr[1]), cr[0]))
-    cand, row = best
+    rows, n_state = qr.rows, len(state_specs)
+    meets = np.ones(len(rows), dtype=bool)
+    for j, spec in enumerate(reward_specs):
+        meets &= spec.satisfied(rows[:, n_state + j])
+    feasible_rewards = bool(meets.any())
+    pool = meets if feasible_rewards else np.ones(len(rows), dtype=bool)
+    safety = rows[:, 0] if n_state else np.ones(len(rows))
+    reward = rows[:, n_state] if reward_specs else np.zeros(len(rows))
+    pool &= safety == safety[pool].max()
+    pool &= reward == reward[pool].min()
+    best = min(np.flatnonzero(pool), key=lambda i: grid.candidates[i])
     all_bounds = feasible_rewards and all(
-        spec.satisfied(v) for spec, v in zip(state_specs, row[:n_state]))
-    return cand, all_bounds
+        spec.satisfied(v) for spec, v in zip(state_specs, rows[best, :n_state]))
+    return grid.candidates[best], all_bounds
 
 
 def synthesize(u, model, space, state_specs, reward_specs, base_valuation=None):
@@ -96,11 +93,11 @@ def synthesize(u, model, space, state_specs, reward_specs, base_valuation=None):
     return cand, qr, feasible
 
 
-def write_report(path, grid, qr, chosen, feasible):
+def write_report(path, qr, chosen, feasible):
     """Synthesis report CSV: one row per candidate plus a chosen-marker column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(grid.dim_names) + qr.columns + ["chosen", "feasible"])
-        for cand, row in zip(qr.candidates, qr.rows):
+        writer.writerow(list(qr.dim_names) + qr.columns + ["chosen", "feasible"])
+        for cand, row in zip(qr.candidates, qr.rows.tolist()):
             mark = 1 if cand == tuple(chosen) else 0
             writer.writerow(list(cand) + list(row) + [mark, int(feasible) if mark else ""])

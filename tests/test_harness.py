@@ -274,6 +274,14 @@ class TestCli:
         assert result["kappa"] == pytest.approx([0.2, 0.0])
         assert result["feasible"]
         assert (tmp_path / "synth_report.csv").exists()
+        # the JSON and the report keep their bytes
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("synth.json", "synth_report.csv")}
+        assert digests == {
+            "synth.json": "cce821c0dc4fe57df1faa760b812b9832a5ec23c2ee4631e01a83d902d55dfe6",
+            "synth_report.csv":
+                "bd709c51df8e7406f65d4ff604787bfa251041b63a74ab0bd2aff6e51c62647d",
+        }
 
     def test_calibrate_command(self, capsys):
         rc = cli.main(["calibrate-oracle", "--target", "0.25",

@@ -1,12 +1,23 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from colavoid import pmc, synthesis
-from colavoid.pdtmc import instantiate
+from colavoid import pmc, synthesis, uq
+from colavoid.pdtmc import ModelError, instantiate
 from conftest import chain_from_rows, ref_valuation
+
+BASE = {"p_collider": 0.8, "p_occ": 0.25}
+
+#: (rates fixture, sha256 of the QR rows as float.hex(), grid points per axis)
+GOLDEN_TABLES = [
+    ("u_initial", "2c7dffbfb5e108a57a23c1dd65052315c50184bd0a48e1669e6fba89b01c67cd", 11),
+    ("u_shifted", "99184b6c6d29b67f0bde41fd3f987d8927ba3f4dfe4d07c08d477692499857b0", 11),
+    ("u_initial", "e97b5cd13fbbe9bf3c48ad2e5cf5961cb47ebe8e44a2da46c4843a618a4ef062", 101),
+]
 
 
 class TestUntilProbability:
@@ -170,6 +181,23 @@ class TestQuantifyCandidates:
         assert row[0] == pytest.approx(1.0, abs=1e-9)
         assert row[1] == pytest.approx(18.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad,message", [
+        ((0.5, 2.0), "value 2.0 for 'c2' outside bounds"),
+        ((math.nan, 0.5), "value nan for 'c1' outside bounds"),
+    ])
+    def test_errors_name_first_failing_candidate_past_first_stack(
+            self, ref_model, u_initial, default_specs, bad, message):
+        state_specs, reward_specs = default_specs
+        candidates = list(synthesis.discretize(
+            synthesis.ParamSpace(counts=(15, 20))).candidates)
+        index = pmc.STACK_SIZE + 22
+        candidates[index] = candidates[index + 40] = bad
+        grid = synthesis.CandidateGrid(dim_names=("c1", "c2"), candidates=tuple(candidates))
+        expected = rf"^candidate {index} \({re.escape(repr(bad))}\): {re.escape(message)}"
+        with pytest.raises(pmc.CheckError, match=expected):
+            pmc.quantify_candidates(ref_model, u_initial, grid, state_specs,
+                                    reward_specs, base_valuation=BASE)
+
     def test_errors_carry_candidate_index(self, ref_model, u_initial, default_specs):
         state_specs, reward_specs = default_specs
         grid = synthesis.CandidateGrid(dim_names=("c1", "c2"),
@@ -186,17 +214,121 @@ class TestQuantifyCandidates:
             pmc.quantify_candidates(ref_model, u_initial, grid, state_specs,
                                     reward_specs)
 
-    @pytest.mark.parametrize("rates,digest", [
-        ("u_initial", "2c7dffbfb5e108a57a23c1dd65052315c50184bd0a48e1669e6fba89b01c67cd"),
-        ("u_shifted", "99184b6c6d29b67f0bde41fd3f987d8927ba3f4dfe4d07c08d477692499857b0"),
-    ])
-    def test_golden_tables(self, request, ref_model, default_specs, rates, digest):
-        # sha256 of the 11 x 11 QR rows written with float.hex(): any change
-        # to instantiation or to the solves must reproduce them bit for bit
+    @pytest.mark.parametrize("rates,digest,size", GOLDEN_TABLES, ids=[
+        # the 11 x 11 cases keep their ids from before the 101 x 101 one
+        f"{rates}-{digest}" if size == 11 else f"{rates}-{size}-{digest}"
+        for rates, digest, size in GOLDEN_TABLES])
+    def test_golden_tables(self, request, ref_model, default_specs, rates, digest, size):
+        # sha256 of the QR rows written with float.hex(): any change to
+        # instantiation or to the solves must reproduce them bit for bit
         state_specs, reward_specs = default_specs
-        grid = synthesis.discretize(synthesis.ParamSpace())
+        grid = synthesis.discretize(synthesis.ParamSpace(counts=(size, size)))
         qr = pmc.quantify_candidates(ref_model, request.getfixturevalue(rates), grid,
                                      state_specs, reward_specs,
                                      base_valuation={"p_collider": 0.8, "p_occ": 0.25})
         text = "\n".join(" ".join(float(v).hex() for v in row) for row in qr.rows)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def looped_table(model, u, grid, state_specs, reward_specs, base):
+    """The QR rows checked one candidate at a time with scalar valuations."""
+    rows = []
+    for cand in grid.candidates:
+        chain = instantiate(model, {**base, **u.as_valuation(),
+                                    **dict(zip(grid.dim_names, cand))})
+        rows.append([pmc.until_probability(chain, s.avoid, s.target) for s in state_specs]
+                    + [pmc.expected_reward_to_absorption(chain, s.targets)
+                       for s in reward_specs])
+    return np.array(rows)
+
+
+class TestStackedChecks:
+    """The stacked path against the per-candidate loop, bit for bit."""
+
+    @pytest.mark.parametrize("matrix,base", [
+        ([[2000, 290], [10, 200]], BASE),
+        # perfect perception: p00 = p11 = 1 changes the support patterns
+        ([[100, 0], [0, 100]], BASE),
+        # a collider at every check: c1 = c2 = 0 never absorbs, time is inf
+        ([[1000, 200], [1200, 100]], {"p_collider": 1.0, "p_occ": 0.25}),
+    ])
+    def test_matches_per_candidate_loop(self, ref_model, default_specs, matrix, base):
+        state_specs, reward_specs = default_specs
+        u = uq.quantify(uq.ConfusionMatrix.from_rows(matrix))
+        # 21 x 21 spans four stacks; c1, c2 in {0, 1} give nine support patterns
+        grid = synthesis.discretize(synthesis.ParamSpace(counts=(21, 21)))
+        assert len(grid.candidates) > 3 * pmc.STACK_SIZE
+        qr = pmc.quantify_candidates(ref_model, u, grid, state_specs, reward_specs,
+                                     base_valuation=base)
+        expected = looped_table(ref_model, u, grid, state_specs, reward_specs, base)
+        assert np.array_equal(qr.rows, expected)
+        assert (base["p_collider"] < 1.0) == bool(np.isfinite(qr.rows).all())
+
+    def test_stacked_chain_matches_members(self, ref_model, u_initial):
+        c1 = np.array([0.0, 0.3, 1.0, 0.0])
+        c2 = np.array([0.0, 0.1, 1.0, 1.0])
+        stack = instantiate(ref_model, ref_valuation(u_initial, c1, c2))
+        assert stack.P.shape == (4, 10, 10)
+        safety = pmc.until_probability(stack, "collision", "done")
+        time = pmc.expected_reward_to_absorption(stack, {"done", "collision"})
+        for k in range(4):
+            chain = instantiate(ref_model, ref_valuation(u_initial, c1[k], c2[k]))
+            assert np.array_equal(stack.P[k], chain.P)
+            assert safety[k] == pmc.until_probability(chain, "collision", "done")
+            assert time[k] == pmc.expected_reward_to_absorption(chain, {"done", "collision"})
+
+    def test_stack_error_names_first_failing_member(self, ref_model, u_initial):
+        c1 = np.array([0.5, 0.5, -1.0, math.inf])
+        with pytest.raises(ModelError, match=r"^member 2: value -1.0 for 'c1' outside bounds"):
+            instantiate(ref_model, ref_valuation(u_initial, c1, 0.5))
+
+
+def closed_form(p_collider, p_occ, p00, p11, c1, c2):
+    """Per check round of the reference chain: a = P(absorb in done),
+    b = P(absorb in collision); every other round waits and starts again."""
+    a = (1 - p_collider) + p_collider * (1 - p_occ) * (p00 * c1 + (1 - p00) * c2)
+    b = p_collider * p_occ * ((1 - p11) * c1 + p11 * c2)
+    return a, b
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestClosedFormOracle:
+    """The reference chain has an exact closed form; the checker must meet it."""
+
+    @given(p_collider=unit, p_occ=unit, p00=unit, p11=unit, c1=unit, c2=unit)
+    @settings(max_examples=300, deadline=None)
+    def test_safety_and_time(self, ref_model, p_collider, p_occ, p00, p11, c1, c2):
+        a, b = closed_form(p_collider, p_occ, p00, p11, c1, c2)
+        # a near-zero round exit makes I - P numerically singular
+        assume(a + b > 1e-6)
+        chain = instantiate(ref_model, {"p_collider": p_collider, "p_occ": p_occ,
+                                        "p00": p00, "p11": p11, "c1": c1, "c2": c2})
+        safety = pmc.until_probability(chain, "collision", "done")
+        time = pmc.expected_reward_to_absorption(chain, {"done", "collision"})
+        assert safety == pytest.approx(a / (a + b), rel=1e-9, abs=1e-12)
+        assert time == pytest.approx(10 + 2 * (1 - a - b) / (a + b), rel=1e-9)
+
+    def test_never_absorbing_when_a_plus_b_is_zero(self, ref_model):
+        chain = instantiate(ref_model, {"p_collider": 1.0, "p_occ": 0.5, "p00": 0.9,
+                                        "p11": 0.9, "c1": 0.0, "c2": 0.0})
+        assert closed_form(1.0, 0.5, 0.9, 0.9, 0.0, 0.0) == (0.0, 0.0)
+        assert pmc.until_probability(chain, "collision", "done") == 0.0
+        assert pmc.expected_reward_to_absorption(chain, {"done", "collision"}) == math.inf
+
+    @given(p_collider=unit, p_occ=unit, other=unit,
+           c=st.tuples(unit, unit).filter(lambda c: c[0] > c[1]))
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("rate", ["p00", "p11"])
+    def test_safety_rises_with_correct_detections(self, ref_model, rate, p_collider,
+                                                  p_occ, other, c):
+        # moving more after a 0-prediction (c1 > c2) pays off as the
+        # classifier gets either class right more often
+        rates = np.linspace(0.0, 1.0, 11)
+        val = {"p_collider": p_collider, "p_occ": p_occ, "p00": other, "p11": other,
+               "c1": c[0], "c2": c[1]}
+        val[rate] = rates
+        stack = instantiate(ref_model, val)
+        safety = pmc.until_probability(stack, "collision", "done")
+        assert (np.diff(safety) >= -1e-12).all()

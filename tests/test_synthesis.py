@@ -49,7 +49,7 @@ class TestDiscretize:
 
 
 def fake_qr(grid, rows):
-    return pmc.QRTable(candidates=tuple(grid.candidates),
+    return pmc.QRTable(dim_names=grid.dim_names, candidates=tuple(grid.candidates),
                        columns=["safety", "time"], rows=tuple(rows))
 
 
@@ -93,7 +93,8 @@ class TestFilterOptimal:
         assert not feasible
 
     def test_misaligned_table_rejected(self):
-        bad = pmc.QRTable(candidates=self.grid.candidates[:1],
+        bad = pmc.QRTable(dim_names=self.grid.dim_names,
+                          candidates=self.grid.candidates[:1],
                           columns=["safety", "time"], rows=((1.0, 10.0),))
         with pytest.raises(synthesis.SynthesisError):
             synthesis.filter_optimal(self.grid, bad, self.state, self.reward)
@@ -138,12 +139,11 @@ class TestSynthesizeEndToEnd:
     def test_report_csv(self, ref_model, u_initial, default_specs, tmp_path):
         state_specs, reward_specs = default_specs
         space = synthesis.ParamSpace(counts=(3, 3))
-        grid = synthesis.discretize(space)
         cand, qr, feasible = synthesis.synthesize(
             u_initial, ref_model, space, state_specs, reward_specs,
             base_valuation={"p_collider": 0.8, "p_occ": 0.25})
         path = tmp_path / "report.csv"
-        synthesis.write_report(path, grid, qr, cand, feasible)
+        synthesis.write_report(path, qr, cand, feasible)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 10
         assert sum(line.split(",")[-2] == "1" for line in lines[1:]) == 1
