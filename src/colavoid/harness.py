@@ -1,9 +1,10 @@
 """Experiment driver: the adaptive method against its two baselines.
 
 A run trains the shared initial classifier/controller pair from the
-pre-collected neighborhood datasets, replays a pre-generated benchmark
-trace, applies the selected method, and persists metrics, per-period
-series, the monitor trace, the event log and a JSON metadata record.
+pre-collected neighborhood datasets, replays a benchmark trace (a shared
+file, or drawn from the seed as the run reaches it), applies the selected
+method, and persists metrics, per-period series, the monitor trace, the
+event log and a JSON metadata record.
 """
 
 from __future__ import annotations
@@ -158,19 +159,30 @@ def initial_system(cfg, seeds):
     }
 
 
+def trace_cap(steps):
+    """Situations a run of `steps` queries may draw.  A run draws about 1.25
+    per query on the reference constants (waits and free moves draw one
+    each), so the cap leaves a wide margin and still stops a controller
+    that never moves.  It sizes a lazy trace and a newly written trace file."""
+    return 8 * steps + 1000
+
+
 def load_or_generate_trace(cfg, seeds):
+    """The run's trace: cfg.trace_path if that file exists; otherwise drawn
+    from the seed, lazily, or in full and written when cfg.trace_path names
+    a file to create."""
     if cfg.trace_path and os.path.exists(cfg.trace_path):
         return simenv.read_trace(cfg.trace_path)
     gen = EnvGenerator(mode="uniform" if cfg.environment == "us" else "random_walk",
                        seed=seeds["trace"],
                        center=cfg.c0 if cfg.environment == "rw" else None)
-    # generous margin: waits and free moves consume extra situations
-    entries = simenv.generate_trace(cfg.steps * 8 + 1000, cfg.constants.p_collider,
-                                    gen, seeds["trace"], oracle=cfg.oracle)
-    if cfg.trace_path:
-        os.makedirs(os.path.dirname(cfg.trace_path) or ".", exist_ok=True)
-        simenv.write_trace(cfg.trace_path, entries)
-    return entries
+    source = (trace_cap(cfg.steps), cfg.constants.p_collider, gen, seeds["trace"])
+    if not cfg.trace_path:
+        return simenv.lazy_trace(*source, oracle=cfg.oracle)
+    trace = simenv.generate_trace(*source, oracle=cfg.oracle)
+    os.makedirs(os.path.dirname(cfg.trace_path) or ".", exist_ok=True)
+    simenv.write_trace(cfg.trace_path, trace)
+    return trace
 
 
 def run_experiment(cfg):
@@ -249,7 +261,7 @@ def run_experiment(cfg):
         unserved=rt.unserved if isinstance(rt, DualRuntime) else 0,
         series=series)
 
-    _write_outputs(cfg, seeds, init, trace, monitor, rt, metrics, step_rows)
+    _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows)
     return metrics
 
 
@@ -264,7 +276,7 @@ def _config_hash(cfg):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _write_outputs(cfg, seeds, init, trace, monitor, rt, metrics, step_rows):
+def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows):
     out = cfg.out_dir
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -288,7 +300,9 @@ def _write_outputs(cfg, seeds, init, trace, monitor, rt, metrics, step_rows):
         "method": cfg.method, "environment": cfg.environment,
         "steps": cfg.steps, "seed": cfg.seed, "seeds": seeds,
         "config_hash": _config_hash(cfg),
-        "trace_hash": simenv.trace_hash(trace),
+        "trace_hash": simenv.trace_hash(world.trace),
+        "trace_rows": len(world.trace.rows),
+        "trace_used": world.cursor,
         "kappa0": list(init["kappa0"]),
         "u0": [init["u0"].p00, init["u0"].p01, init["u0"].p10, init["u0"].p11],
         "initial_feasible": bool(init["feasible"]),

@@ -13,7 +13,7 @@ import csv
 from collections import deque
 from dataclasses import dataclass
 
-from .perception import Dataset, Sample
+from .perception import Dataset
 
 
 class MonitorError(Exception):
@@ -171,15 +171,16 @@ class Monitor:
                               self.stats.safety_rate, self.stats.mean_time)
 
     def drain_counterexamples(self):
-        """Misclassified observations of the just-finished period, as samples.
+        """Misclassified observations of the just-finished period, as a
+        dataset of their inputs and true labels.
 
         A non-empty set marks the last trace row as the repair step.  Resets
         the period log and stats; callable only at a boundary.
         """
         if not self.at_period_boundary():
             raise MonitorError("period not yet complete")
-        ce = Dataset([Sample(o.x, o.truth) for o in self._period_obs
-                      if o.prediction != o.truth], role="train")
+        wrong = [o for o in self._period_obs if o.prediction != o.truth]
+        ce = Dataset([o.x for o in wrong], [o.truth for o in wrong], role="train")
         if len(ce) and self._trace:
             self._trace[-1][-1] = 1
         self._advance_period()

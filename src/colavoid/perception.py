@@ -34,29 +34,23 @@ class PerceptionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: tuple                 # 5 floats
-    y: int                   # class in {0, 1}
-
-
 @dataclass
 class Dataset:
-    """Ordered multiset of samples with a role tag."""
+    """Labelled inputs as arrays, with a role tag: `X` (n x 5 float) and
+    `y` (n int8 classes in {0, 1})."""
 
-    samples: list
+    X: np.ndarray
+    y: np.ndarray
     role: str = "train"      # train | val | confusion | test | window
 
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=float).reshape(-1, len(INPUT_RANGES))
+        self.y = np.asarray(self.y, dtype=np.int8).reshape(-1)
+        if len(self.X) != len(self.y):
+            raise PerceptionError(f"{len(self.X)} inputs but {len(self.y)} labels")
+
     def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def matrix(self):
-        X = np.array([s.x for s in self.samples], dtype=float)
-        y = np.array([s.y for s in self.samples], dtype=float)
-        return X, y
+        return len(self.y)
 
 
 def standardize(X):
@@ -193,10 +187,8 @@ def train(init, train_set, val_set, cfg):
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
     rng = np.random.default_rng(cfg.seed)
-    X, y = train_set.matrix()
-    X = standardize(X)
-    X_val, y_val = val_set.matrix()
-    X_val = standardize(X_val)
+    X, y = standardize(train_set.X), train_set.y.astype(float)
+    X_val, y_val = standardize(val_set.X), val_set.y.astype(float)
     n = len(y)
     losses, snapshots = [], []
     for _ in range(cfg.epochs):
@@ -260,27 +252,22 @@ def split_counterexamples(ce, ratios, seed=0):
     if len(ratios) != 4:
         raise PerceptionError("expected four split ratios")
     rng = np.random.default_rng(seed)
-    samples = list(ce.samples)
-    order = rng.permutation(len(samples))
-    samples = [samples[i] for i in order]
-    n = len(samples)
+    order = rng.permutation(len(ce))
+    n = len(ce)
     sizes = [int(math.floor(r * n)) for r in ratios]
     remainder = n - sum(sizes)
     for i in range(remainder):
         sizes[i % 4] += 1
-    parts = []
-    offset = 0
-    for size, role in zip(sizes, CE_ROLES):
-        parts.append(Dataset(samples[offset:offset + size], role))
-        offset += size
-    return tuple(parts)
+    parts = np.split(order, np.cumsum(sizes)[:-1])
+    return tuple(Dataset(ce.X[idx], ce.y[idx], role) for idx, role in zip(parts, CE_ROLES))
 
 
 def merge_datasets(base, ce_part):
     """Multiset append (base first); role tags must match."""
     if base.role != ce_part.role:
         raise PerceptionError(f"role mismatch: {base.role} vs {ce_part.role}")
-    return Dataset(list(base.samples) + list(ce_part.samples), base.role)
+    return Dataset(np.concatenate([base.X, ce_part.X]),
+                   np.concatenate([base.y, ce_part.y]), base.role)
 
 
 def sample_dataset(src, n, seed):
@@ -297,4 +284,4 @@ def sample_dataset(src, n, seed):
     else:
         extra = rng.choice(len(src), size=n - len(src), replace=True)
         idx = np.concatenate([np.arange(len(src)), extra])
-    return Dataset([src.samples[i] for i in idx], src.role)
+    return Dataset(src.X[idx], src.y[idx], src.role)

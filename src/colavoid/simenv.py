@@ -5,18 +5,32 @@ robot advances from the origin along the +x2 axis at 1 unit/s for one
 10-unit grid step while the collider integrates unicycle kinematics; the
 ground-truth label is 1 iff the two come within the collision radius at
 any sampled instant.
+
+A benchmark trace is a `Trace`: three arrays, `present` (bool), `X`
+(n x 5 float) and `label` (int8), and the same situations as Python rows
+`(present, x, label)`, which `World` replays.  A trace file is read into
+arrays and turned into rows once, at load.  A trace drawn from the seed is
+lazy: it draws and labels LABEL_CHUNK situations at a time when the world
+first reaches them, up to a cap; the draws are made in the same order
+whatever the chunking, so chunk k is the same however many chunks come
+before it, and a lazy trace's rows are a prefix of the eager
+`generate_trace` of the same source.  `trace_hash` covers the rows a trace
+holds: every row of a file, the drawn chunks of a lazy trace.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .perception import INPUT_RANGES, Dataset, Sample
+from .perception import INPUT_RANGES, Dataset
+
+_LO = np.array([r[0] for r in INPUT_RANGES])
+_HI = np.array([r[1] for r in INPUT_RANGES])
 
 
 class EnvError(Exception):
@@ -33,11 +47,6 @@ class ColliderState:
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4, self.x5)
-
-    @classmethod
-    def clipped(cls, values):
-        vals = [float(min(max(v, lo), hi)) for v, (lo, hi) in zip(values, INPUT_RANGES)]
-        return cls(*vals)
 
 
 #: Radius fitted once with calibrate_radius(target=0.25): uniform positive
@@ -112,9 +121,7 @@ def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345, cfg=None):
     """Bisect the collision radius so the uniform positive rate hits `target`."""
     base = cfg or OracleConfig()
     rng = np.random.default_rng(seed)
-    lo_b = np.array([r[0] for r in INPUT_RANGES])
-    hi_b = np.array([r[1] for r in INPUT_RANGES])
-    points = rng.uniform(lo_b, hi_b, size=(n, 5))
+    points = rng.uniform(_LO, _HI, size=(n, 5))
 
     def rate(radius):
         c = OracleConfig(base.dt, base.horizon, radius, base.robot_speed)
@@ -141,7 +148,7 @@ def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345, cfg=None):
 class EnvGenerator:
     """Collider-state source: uniform over the input space, or a clipped
     Gaussian random walk with uniform draws from an eps-ball around the
-    walking center."""
+    walking center.  `draw(k)` returns the next k states as a k x 5 array."""
 
     mode: str = "uniform"            # "uniform" | "random_walk"
     seed: int = 0
@@ -153,32 +160,41 @@ class EnvGenerator:
         if self.mode not in ("uniform", "random_walk"):
             raise EnvError(f"unknown generator mode {self.mode!r}")
         self._rng = np.random.default_rng(self.seed)
-        self._lo = np.array([r[0] for r in INPUT_RANGES])
-        self._hi = np.array([r[1] for r in INPUT_RANGES])
-        self._half = (self._hi - self._lo) / 2.0
-        if self.center is None:
-            self.center = ColliderState.clipped(tuple((self._lo + self._hi) / 2.0))
-        self._c = np.array(self.center.as_tuple())
+        self._half = (_HI - _LO) / 2.0
+        self._c = ((_LO + _HI) / 2.0 if self.center is None
+                   else np.array(self.center.as_tuple()))
 
-    def next_input(self):
+    def draw(self, k):
         if self.mode == "uniform":
-            point = self._rng.uniform(self._lo, self._hi)
-        else:
-            step = self._rng.normal(0.0, self.walk_scale, size=5) * self._half
-            self._c = np.clip(self._c + step, self._lo, self._hi)
-            radius = self.eps * self._half
-            point = np.clip(self._c + self._rng.uniform(-radius, radius),
-                            self._lo, self._hi)
-        return ColliderState.clipped(tuple(point))
+            return self._rng.uniform(_LO, _HI, size=(k, 5))
+        return self._walk(k)
+
+    def _walk(self, k):
+        """k walk steps.  A step draws five normals and then five uniforms, so
+        the draws stay in a per-step loop; the arithmetic of normal(0, s)
+        (0 + s z) and of uniform(-r, r) (-r + (r - -r) u) is then done on the
+        whole block, with the same operations in the same order, and the
+        states are bit-identical to per-step normal/uniform calls."""
+        Z, U = np.empty((k, 5)), np.empty((k, 5))
+        for z, u in zip(Z, U):
+            self._rng.standard_normal(out=z)
+            self._rng.random(out=u)
+        steps = (0.0 + self.walk_scale * Z) * self._half
+        radius = self.eps * self._half
+        offsets = -radius + (radius - -radius) * U
+        centers = np.empty((k, 5))
+        c = self._c
+        for i, step in enumerate(steps):
+            c = np.minimum(np.maximum(c + step, _LO), _HI)
+            centers[i] = c
+        self._c = c
+        return np.clip(centers + offsets, _LO, _HI)
 
 
 def ball_sample(c0, eps, n, rng):
-    """Uniform draws from the per-dimension eps-ball around c0, clipped."""
-    center = np.array(c0.as_tuple())
-    lo = np.array([r[0] for r in INPUT_RANGES])
-    hi = np.array([r[1] for r in INPUT_RANGES])
-    points = np.clip(center + rng.uniform(-eps, eps, size=(n, 5)), lo, hi)
-    return [ColliderState(*(float(v) for v in p)) for p in points]
+    """n uniform draws from the per-dimension eps-ball around c0, clipped to
+    the input ranges; an n x 5 array."""
+    return np.clip(np.array(c0.as_tuple()) + rng.uniform(-eps, eps, size=(n, 5)), _LO, _HI)
 
 
 def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
@@ -190,10 +206,8 @@ def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
     for size, role in zip(sizes, roles):
         if size < 1:
             raise EnvError("dataset sizes must be positive")
-        X = np.array([s.as_tuple() for s in ball_sample(c0, eps0, size, rng)])
-        labels = ground_truth_labels(X, oracle)
-        out.append(Dataset([Sample(tuple(x), int(y))
-                            for x, y in zip(X.tolist(), labels)], role))
+        X = ball_sample(c0, eps0, size, rng)
+        out.append(Dataset(X, ground_truth_labels(X, oracle), role))
     return tuple(out)
 
 
@@ -201,54 +215,145 @@ def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
 # Benchmark traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceEntry:
-    present: bool
-    state: ColliderState
-    label: int
+class TraceExhausted(Exception):
+    """The run needs more situations than its benchmark trace may hold."""
+
+
+TRACE_HEADER = ["present", "x1", "x2", "x3", "x4", "x5", "label"]
+#: One trace row as a CSV line, and as repr((present, x1, ..., x5, label)),
+#: the text trace_hash digests.
+_CSV_ROW = "%d,%r,%r,%r,%r,%r,%d\r\n"
+_HASHED_ROW = "(%d, %r, %r, %r, %r, %r, %d)"
+
+
+class Trace:
+    """Benchmark situations as arrays, `present` (bool), `X` (n x 5 float)
+    and `label` (int8), and as the Python rows `(present, x, label)` that
+    World replays.
+
+    `len` is the cap on the rows the trace may hold.  A trace with a
+    `source` (see lazy_trace) holds fewer: `extend_to` draws more from it,
+    LABEL_CHUNK rows at a time.  `path` names the file the rows came from."""
+
+    def __init__(self, present, X, label, cap=None, source=None, path=None):
+        self.present = np.asarray(present, dtype=bool)
+        self.X = np.asarray(X, dtype=float).reshape(-1, 5)
+        self.label = np.asarray(label, dtype=np.int8)
+        self.rows = _python_rows(self.present, self.X, self.label)
+        self.cap = len(self.rows) if cap is None else cap
+        self.source = source
+        self.path = path
+
+    def __len__(self):
+        return self.cap
+
+    def extend_to(self, n):
+        """Draw chunks until the trace holds at least n rows; TraceExhausted
+        when n exceeds the cap."""
+        if n > self.cap:
+            where = f"trace file {self.path}" if self.path else "trace"
+            raise TraceExhausted(f"{where} has {self.cap} rows; the run needs more")
+        while len(self.rows) < n:
+            present, X, label = self.source(min(LABEL_CHUNK, self.cap - len(self.rows)))
+            self.present = np.concatenate([self.present, present])
+            self.X = np.concatenate([self.X, X])
+            self.label = np.concatenate([self.label, label.astype(np.int8)])
+            self.rows += _python_rows(present, X, label)
+
+
+def _python_rows(present, X, label):
+    """The rows as Python tuples, converted a chunk at a time so that the
+    temporaries of `tolist` stay small."""
+    rows = []
+    for start in range(0, len(present), LABEL_CHUNK):
+        end = start + LABEL_CHUNK
+        rows += zip(present[start:end].tolist(), map(tuple, X[start:end].tolist()),
+                    label[start:end].tolist())
+    return rows
+
+
+def _text_chunks(rows, fmt):
+    """The rows formatted with `fmt`, joined LABEL_CHUNK rows at a time."""
+    for start in range(0, len(rows), LABEL_CHUNK):
+        yield "".join([fmt % (p, *x, y) for p, x, y in rows[start:start + LABEL_CHUNK]])
+
+
+def lazy_trace(cap, p_collider, gen, seed, oracle=OracleConfig()):
+    """An empty trace of at most `cap` situations.  Each chunk draws its
+    presences from a generator seeded with `seed` and its states from
+    `gen`, and labels the states with the oracle."""
+    rng = np.random.default_rng(seed)
+
+    def source(k):
+        X = gen.draw(k)
+        return rng.random(k) < p_collider, X, ground_truth_labels(X, oracle)
+
+    return Trace([], [], [], cap=cap, source=source)
 
 
 def generate_trace(n, p_collider, gen, seed, oracle=OracleConfig()):
-    """Pre-constructed benchmark: n situation draws shared by all methods.
-
-    Drawn, labelled and emitted LABEL_CHUNK situations at a time."""
-    rng = np.random.default_rng(seed)
-    entries = []
-    for start in range(0, n, LABEL_CHUNK):
-        present, states = [], []
-        for _ in range(min(LABEL_CHUNK, n - start)):
-            present.append(bool(rng.random() < p_collider))
-            states.append(gen.next_input())
-        labels = ground_truth_labels([s.as_tuple() for s in states], oracle)
-        entries.extend(TraceEntry(p, s, int(y))
-                       for p, s, y in zip(present, states, labels))
-    return entries
+    """Pre-constructed benchmark: n situation draws shared by all methods,
+    drawn and labelled now (a lazy trace extended to its cap)."""
+    trace = lazy_trace(n, p_collider, gen, seed, oracle)
+    trace.extend_to(n)
+    return trace
 
 
-def write_trace(path, entries):
+def write_trace(path, trace):
+    """The rows as CSV; floats as repr, so that reading gives the same bits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["present", "x1", "x2", "x3", "x4", "x5", "label"])
-        for e in entries:
-            writer.writerow([int(e.present)] + [repr(float(v)) for v in e.state.as_tuple()]
-                            + [e.label])
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(_text_chunks(trace.rows, _CSV_ROW))
 
 
 def read_trace(path):
-    entries = []
+    """Load a trace CSV.  A malformed file (wrong header or column count,
+    present or label not 0 or 1, a non-finite state) raises EnvError naming
+    the path and the row; row 1 is the first non-blank line after the header."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            state = ColliderState(*(float(v) for v in row[1:6]))
-            entries.append(TraceEntry(bool(int(row[0])), state, int(row[6])))
-    return entries
+        if fh.readline().rstrip("\r\n").split(",") != TRACE_HEADER:
+            raise EnvError(f"{path}: header must be {','.join(TRACE_HEADER)}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)    # no data rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is not None and data.size == 0:
+        data = np.empty((0, 7))
+    if data is None or data.shape[1] != 7:
+        raise EnvError(_malformed(path))
+    present, X, label = data[:, 0], data[:, 1:6], data[:, 6]
+    bad = ~(np.isin(present, (0, 1)) & np.isin(label, (0, 1)) & np.isfinite(X).all(axis=1))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise EnvError(f"{path}, row {i + 1}: present and label must be 0 or 1 and the "
+                       f"state finite, got {data[i].tolist()}")
+    return Trace(present == 1, X, label, path=path)
 
 
-def trace_hash(entries):
+def _malformed(path):
+    """The error for a file np.loadtxt could not read: its first row with the
+    wrong column count or a non-numeric field."""
+    with open(path, newline="") as fh:
+        rows = [line for line in fh.read().splitlines()[1:] if line]
+    for i, line in enumerate(rows, 1):
+        fields = line.split(",")
+        if len(fields) != 7:
+            return f"{path}, row {i}: {len(fields)} columns, expected 7"
+        try:
+            [float(v) for v in fields]
+        except ValueError:
+            return f"{path}, row {i}: non-numeric field in {line!r}"
+    return f"{path}: unreadable trace"
+
+
+def trace_hash(trace):
+    """sha256 over the rows the trace holds, each as the text of
+    repr((present, x1, ..., x5, label)) with present and label as ints."""
     h = hashlib.sha256()
-    for e in entries:
-        h.update(repr((int(e.present),) + e.state.as_tuple() + (e.label,)).encode())
+    for text in _text_chunks(trace.rows, _HASHED_ROW):
+        h.update(text.encode())
     return h.hexdigest()
 
 
@@ -267,12 +372,9 @@ class StepRecord:
     observations: list       # of (x, prediction, truth)
 
 
-class TraceExhausted(Exception):
-    """The pre-generated benchmark trace ran out of situations."""
-
-
 class World:
-    """Replays a benchmark trace through a runtime's perception/controller."""
+    """Replays a benchmark trace through a runtime's perception/controller.
+    `cursor` counts the situations drawn so far."""
 
     def __init__(self, trace, t_move=10.0, t_wait=2.0):
         self.trace = trace
@@ -281,26 +383,26 @@ class World:
         self.t_wait = t_wait
 
     def _draw(self):
-        if self.cursor >= len(self.trace):
-            raise TraceExhausted(f"trace exhausted after {self.cursor} situations")
-        entry = self.trace[self.cursor]
+        if self.cursor >= len(self.trace.rows):
+            self.trace.extend_to(self.cursor + 1)
+        row = self.trace.rows[self.cursor]
         self.cursor += 1
-        return entry
+        return row
 
     def step(self, runtime, rng):
         """Attempt one movement; ends at the first move (done or collision)."""
         waits = 0
         observations = []
         while True:
-            entry = self._draw()
-            if not entry.present:
+            present, x, label = self._draw()
+            if not present:
                 return StepRecord("done", waits * self.t_wait + self.t_move,
                                   waits, len(observations), observations)
-            prediction = runtime.predict(entry.state.as_tuple())
-            observations.append((entry.state.as_tuple(), prediction, entry.label))
+            prediction = runtime.predict(x)
+            observations.append((x, prediction, label))
             move_prob = runtime.move_probability(prediction)
             if rng.random() < move_prob:
-                outcome = "collision" if entry.label == 1 else "done"
+                outcome = "collision" if label == 1 else "done"
                 return StepRecord(outcome, waits * self.t_wait + self.t_move,
                                   waits, len(observations), observations)
             waits += 1

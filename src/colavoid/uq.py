@@ -79,10 +79,8 @@ def evaluate_confusion(predictor, dataset, k=2):
     """Run the predictor over a labelled dataset and count (truth, prediction)."""
     if len(dataset) == 0:
         raise QuantifyError("cannot evaluate on an empty dataset")
-    X, _ = dataset.matrix()
-    counts = [[0] * k for _ in range(k)]
-    for sample, prediction in zip(dataset, predictor.predict_batch(X)):
-        counts[sample.y][prediction] += 1
+    counts = np.zeros((k, k), dtype=int)
+    np.add.at(counts, (dataset.y, np.asarray(predictor.predict_batch(dataset.X))), 1)
     return ConfusionMatrix.from_rows(counts)
 
 
@@ -110,5 +108,4 @@ def accuracy(predictor, dataset):
     """Fraction of samples whose prediction matches the label."""
     if len(dataset) == 0:
         raise QuantifyError("accuracy of an empty dataset is undefined")
-    X, y = dataset.matrix()
-    return int(np.sum(predictor.predict_batch(X) == y)) / len(dataset)
+    return int(np.sum(predictor.predict_batch(dataset.X) == dataset.y)) / len(dataset)

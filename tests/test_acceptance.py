@@ -219,14 +219,17 @@ def test_criterion_9_dataset_accounting(ref_model):
         rt = runtime.DualRuntime(state, datasets, cfg)
         rng = np.random.default_rng(3)
         ce_states = simenv.ball_sample(harness.DEFAULT_C0, 0.3, 600, rng)
-        ce = perception.Dataset(
-            [perception.Sample(s.as_tuple(), simenv.ground_truth_label(s, oracle))
-             for s in ce_states], role="train")
+        ce = perception.Dataset(ce_states, simenv.ground_truth_labels(ce_states, oracle),
+                                role="train")
+
+        def pairs(ds):
+            return list(zip(map(tuple, ds.X.tolist()), ds.y.tolist()))
+
         # the split is a disjoint partition across the four roles
         parts = perception.split_counterexamples(ce, cfg.ce_ratios, seed=1)
-        seen = [s for p in parts for s in p]
+        seen = [xy for p in parts for xy in pairs(p)]
         assert len(seen) == len(ce)
-        assert sorted(s.x for s in seen) == sorted(s.x for s in ce)
+        assert sorted(seen) == sorted(pairs(ce))
         # the repair round resamples the merged masters to the exact sizes
         accepted, new_state = rt.run_repair(ce, step=0)
         assert accepted

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from colavoid import cli, harness
+from colavoid import cli, harness, simenv
 from colavoid.monitor import MonitorConfig
 from colavoid.perception import TrainConfig
 from colavoid.synthesis import ParamSpace
@@ -203,6 +203,53 @@ class TestDeterminism:
                            method="no", seed=9)
         m = harness.run_experiment(cfg)
         assert m.accuracy != out["no"][1].accuracy
+
+
+class TestTraceAccounting:
+    """metadata.json: trace_used is World.cursor, one situation per query
+    plus one per step that ended on an absent collider (queries == waits);
+    trace_rows counts the rows trace_hash covers."""
+
+    @staticmethod
+    def trace_meta(out_dir):
+        meta = json.load(open(os.path.join(out_dir, "metadata.json")))
+        with open(os.path.join(out_dir, "steps.csv"), newline="") as fh:
+            steps = list(csv.DictReader(fh))
+        drawn = (sum(int(r["queries"]) for r in steps)
+                 + sum(r["queries"] == r["waits"] for r in steps))
+        assert meta["trace_used"] == drawn
+        assert 0 < meta["trace_used"] <= meta["trace_rows"]
+        return meta
+
+    def test_file_backed_runs(self, runs):
+        _, out = runs
+        for cfg, _ in out.values():
+            meta = self.trace_meta(cfg.out_dir)
+            assert meta["trace_rows"] == harness.trace_cap(cfg.steps)
+
+    def test_traceless_run_matches_the_file_backed_run(self, tmp_path):
+        kw = dict(method="sa", environment="rw", steps=1300, seed=4,
+                  dataset_sizes=(200, 60, 60, 60), train_config=TrainConfig(epochs=5),
+                  param_space=ParamSpace(counts=(4, 4)))
+        lazy = harness.ExperimentConfig(out_dir=str(tmp_path / "lazy"), **kw)
+        eager = harness.ExperimentConfig(out_dir=str(tmp_path / "eager"),
+                                         trace_path=str(tmp_path / "trace.csv"), **kw)
+        for cfg in (lazy, eager):
+            harness.run_experiment(cfg)
+        for name in ("metrics.csv", "periods.csv", "steps.csv", "monitor_trace.csv",
+                     "events.csv"):
+            assert (open(os.path.join(lazy.out_dir, name), "rb").read()
+                    == open(os.path.join(eager.out_dir, name), "rb").read()), name
+        meta = self.trace_meta(lazy.out_dir)
+        full = self.trace_meta(eager.out_dir)
+        # the lazy run holds whole chunks, a prefix of the written trace
+        assert meta["trace_used"] == full["trace_used"]
+        assert meta["trace_rows"] % simenv.LABEL_CHUNK == 0
+        assert meta["trace_rows"] < full["trace_rows"] == harness.trace_cap(1300)
+        prefix = simenv.read_trace(eager.trace_path)
+        n = meta["trace_rows"]
+        prefix = simenv.Trace(prefix.present[:n], prefix.X[:n], prefix.label[:n])
+        assert meta["trace_hash"] == simenv.trace_hash(prefix)
 
 
 class TestMethodBehavior:

@@ -6,6 +6,7 @@ import ast
 import glob
 import os
 
+import numpy as np
 import pytest
 
 import colavoid
@@ -110,17 +111,58 @@ def test_every_library_definition_is_named():
     assert dead == []
 
 
-def test_tracer_targets_exist():
-    # the benchmark's tracer wraps these attributes by name; one that a
-    # refactor drops would only fail `perfbench/run.py --trace 1`.  The
-    # tracer module is executed from its source, so nothing is written
-    # next to it.
+def tracer_namespace():
+    """The benchmark's tracer module, executed from its source so that
+    nothing is written next to it."""
     path = os.path.join(ROOT, "perfbench", "tracer.py")
     namespace = {"__name__": "perfbench_tracer"}
     with open(path) as fh:
         exec(compile(fh.read(), path, "exec"), namespace)
-    targets = namespace["targets"]()
+    return namespace
+
+
+def test_tracer_targets_exist():
+    # the benchmark's tracer wraps these attributes by name; one that a
+    # refactor drops would only fail `perfbench/run.py --trace 1`.
+    targets = tracer_namespace()["targets"]()
     assert targets
     missing = [(owner.__name__, attr) for owner, attr, _, _ in targets
                if attr not in owner.__dict__]
     assert missing == []
+
+
+class WaitingRuntime:
+    """Predicts 0 and moves on it with probability one half."""
+
+    def predict(self, x):
+        return 0
+
+    def move_probability(self, prediction):
+        return 0.5
+
+
+def test_tracer_cursor_hook_reads_a_world(tmp_path):
+    # `--trace 1` wraps World.step and records (cursor, len(trace)) after
+    # each step; simenv.trace_used_ratio is computed from them.
+    from colavoid import simenv
+    tracer_module = tracer_namespace()
+    path = tmp_path / "trace.csv"
+    simenv.write_trace(path, simenv.generate_trace(300, 0.8, simenv.EnvGenerator(seed=1), 2))
+    traces = {"lazy": simenv.lazy_trace(5000, 0.8, simenv.EnvGenerator(seed=1), 2),
+              "file": simenv.read_trace(path)}
+    for kind, trace in traces.items():
+        tracer = tracer_module["Tracer"]()
+        tracer.install([(simenv.World, "step", "simenv.World.step",
+                         tracer_module["_record_cursor"])])
+        try:
+            world = simenv.World(trace)
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                world.step(WaitingRuntime(), rng)
+        finally:
+            tracer.uninstall()
+        recorded = [span[4] for span in tracer.spans]
+        assert len(recorded) == 5, kind
+        for cursor, cap in recorded:
+            assert 0 < cursor <= cap == len(world.trace), kind
+        assert recorded[-1][0] == world.cursor, kind

@@ -223,7 +223,8 @@ class TestPeriods:
             m.observe(obs(i, prediction=i % 2, truth=0))
         ce = m.drain_counterexamples()
         assert len(ce) == 5
-        assert all(s.y == 0 for s in ce)
+        assert ce.y.tolist() == [0] * 5
+        assert ce.X.shape == (5, 5)
 
     def test_drain_resets_stats_but_not_window(self):
         m = mon.Monitor(small_cfg())
@@ -239,7 +240,7 @@ class TestPeriods:
         for i in range(10):
             m.observe(obs(i, prediction=0, truth=1))
         ce = m.drain_counterexamples()
-        assert {s.y for s in ce} == {1}
+        assert set(ce.y.tolist()) == {1}
 
 
 class TestTraceExport:

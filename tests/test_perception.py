@@ -8,13 +8,16 @@ from colavoid import perception as pc
 
 
 def make_dataset(n, rule, seed, role="train"):
-    """Samples with label rule(x) on uniformly drawn in-range inputs."""
+    """Labels rule(x) on uniformly drawn in-range inputs."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n):
-        x = tuple(float(rng.uniform(lo, hi)) for lo, hi in pc.INPUT_RANGES)
-        samples.append(pc.Sample(x, int(rule(x))))
-    return pc.Dataset(samples, role)
+    xs = [tuple(float(rng.uniform(lo, hi)) for lo, hi in pc.INPUT_RANGES)
+          for _ in range(n)]
+    return pc.Dataset(xs, [int(rule(x)) for x in xs], role)
+
+
+def pairs(ds):
+    """The dataset's (input, label) pairs."""
+    return list(zip(map(tuple, ds.X.tolist()), ds.y.tolist()))
 
 
 def reference_train(init, train_set, val_set, cfg):
@@ -22,10 +25,8 @@ def reference_train(init, train_set, val_set, cfg):
     minibatch; returns the snapshot with the lowest validation loss."""
     p = init
     rng = np.random.default_rng(cfg.seed)
-    X, y = train_set.matrix()
-    X = pc.standardize(X)
-    X_val, y_val = val_set.matrix()
-    X_val = pc.standardize(X_val)
+    X, y = pc.standardize(train_set.X), train_set.y.astype(float)
+    X_val, y_val = pc.standardize(val_set.X), val_set.y.astype(float)
     losses, snapshots = [], []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
@@ -81,9 +82,8 @@ class TestForward:
     def test_batch_agrees_with_single(self):
         params = pc.MLPParams.init_random(7)
         ds = make_dataset(20, lambda x: x[0] > 0, seed=1)
-        X, _ = ds.matrix()
-        batch = pc.MLPPredictor(params).predict_batch(X)
-        single = [pc.MLPPredictor(params).predict(s.x) for s in ds]
+        batch = pc.MLPPredictor(params).predict_batch(ds.X)
+        single = [pc.MLPPredictor(params).predict(x) for x in ds.X.tolist()]
         assert list(batch) == single
 
 
@@ -122,7 +122,7 @@ class TestGradients:
     def test_loss_matches_dataset_loss(self):
         params = pc.MLPParams.init_random(2)
         ds = make_dataset(30, lambda x: x[1] > 5, seed=2)
-        X, y = ds.matrix()
+        X, y = ds.X, ds.y.astype(float)
         loss, _, _ = pc.loss_and_gradients(params, pc.standardize(X), y)
         assert loss == pytest.approx(pc.dataset_loss(params, pc.standardize(X), y))
 
@@ -202,9 +202,9 @@ class TestTrain:
     def test_empty_sets_rejected(self):
         ds = make_dataset(10, lambda x: 0, seed=0)
         with pytest.raises(pc.PerceptionError):
-            pc.train(0, pc.Dataset([], "train"), ds, pc.TrainConfig())
+            pc.train(0, pc.Dataset([], [], "train"), ds, pc.TrainConfig())
         with pytest.raises(pc.PerceptionError):
-            pc.train(0, ds, pc.Dataset([], "val"), pc.TrainConfig())
+            pc.train(0, ds, pc.Dataset([], [], "val"), pc.TrainConfig())
 
     def test_bad_config_rejected(self):
         with pytest.raises(pc.PerceptionError):
@@ -226,7 +226,7 @@ class TestCounterexampleBookkeeping:
         ce = make_dataset(n, lambda x: x[0] > 0, seed=seed, role="window")
         parts = pc.split_counterexamples(ce, (0.4, 0.2, 0.2, 0.2), seed=seed)
         assert sum(len(p) for p in parts) == n
-        assert sorted(s.x for p in parts for s in p) == sorted(s.x for s in ce)
+        assert sorted(xy for p in parts for xy in pairs(p)) == sorted(pairs(ce))
         assert tuple(p.role for p in parts) == pc.CE_ROLES
 
     def test_split_sizes_respect_ratios(self):
@@ -244,7 +244,7 @@ class TestCounterexampleBookkeeping:
         b = make_dataset(3, lambda x: 1, seed=1, role="train")
         merged = pc.merge_datasets(a, b)
         assert len(merged) == 8
-        assert merged.samples[:5] == a.samples
+        assert pairs(merged) == pairs(a) + pairs(b)
 
     def test_merge_role_mismatch(self):
         a = make_dataset(2, lambda x: 0, seed=0, role="train")
@@ -258,15 +258,15 @@ class TestCounterexampleBookkeeping:
         src = make_dataset(n, lambda x: x[0] > 0, seed=seed)
         out = pc.sample_dataset(src, m, seed=seed)
         assert len(out) == m
-        pool = set(s.x for s in src)
-        assert all(s.x in pool for s in out)
+        pool = set(pairs(src))
+        assert all(xy in pool for xy in pairs(out))
         if m <= n:
             # without replacement: no duplicates beyond the source's own
-            assert len(set(out.samples)) == len(out.samples)
+            assert len(set(pairs(out))) == m
 
     def test_sample_from_empty_rejected(self):
         with pytest.raises(pc.PerceptionError):
-            pc.sample_dataset(pc.Dataset([], "train"), 3, seed=0)
+            pc.sample_dataset(pc.Dataset([], [], "train"), 3, seed=0)
 
 
 class TestRandomGuess:

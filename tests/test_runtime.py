@@ -9,11 +9,8 @@ def make_ce(n, seed):
     """Counterexample dataset labelled by the trajectory oracle."""
     rng = np.random.default_rng(seed)
     oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
-    states = simenv.ball_sample(simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0),
-                                2.0, n, rng)
-    return pc.Dataset([pc.Sample(s.as_tuple(),
-                                 simenv.ground_truth_label(s, oracle))
-                       for s in states], role="train")
+    X = simenv.ball_sample(simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0), 2.0, n, rng)
+    return pc.Dataset(X, simenv.ground_truth_labels(X, oracle), role="train")
 
 
 def make_runtime(ref_model, test_gate=0.0, seed=0):
@@ -143,16 +140,16 @@ class TestRepairPipeline:
         old_phi = rt.state.phi
         rt.signal_repair(make_ce(60, seed=8), {"accuracy"}, step=1)
         xs = simenv.ball_sample(simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0),
-                                2.0, 20, np.random.default_rng(8))
+                                2.0, 20, np.random.default_rng(8)).tolist()
         # between the signal and the finish the old component still serves
         assert active_name(rt) == "A" and rt.state.phi is old_phi
-        for s in xs:
-            assert rt.predict(s.as_tuple()) == pc.MLPPredictor(old_phi).predict(s.as_tuple())
+        for x in xs:
+            assert rt.predict(x) == pc.MLPPredictor(old_phi).predict(x)
         assert rt.finish_repair(step=2) is True
         new_phi = rt.state.phi
         assert new_phi is not old_phi
-        for s in xs:
-            assert rt.predict(s.as_tuple()) == pc.MLPPredictor(new_phi).predict(s.as_tuple())
+        for x in xs:
+            assert rt.predict(x) == pc.MLPPredictor(new_phi).predict(x)
 
 
 class TestSwap:

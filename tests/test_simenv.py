@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -163,26 +164,53 @@ class TestCalibrateRadius:
         assert simenv.calibrate_radius(target=target, tol=tol, n=n, seed=3) == (mid, r)
 
 
+def scalar_trace(n, p_collider, gen_seed, seed, mode="uniform", center=None,
+                 eps=0.5, walk_scale=0.5, oracle=simenv.OracleConfig()):
+    """The per-situation trace generator as it was written before the block
+    draws: one presence draw and one generator step per situation, each
+    state clipped to the input ranges value by value.  Returns (present, X,
+    label) arrays."""
+    rng = np.random.default_rng(seed)
+    gen_rng = np.random.default_rng(gen_seed)
+    lo, hi = np.array(INPUT_RANGES).T
+    half = (hi - lo) / 2.0
+    c = (lo + hi) / 2.0 if center is None else np.array(center)
+    present, X = [], []
+    for _ in range(n):
+        present.append(bool(rng.random() < p_collider))
+        if mode == "uniform":
+            point = gen_rng.uniform(lo, hi)
+        else:
+            step = gen_rng.normal(0.0, walk_scale, size=5) * half
+            c = np.clip(c + step, lo, hi)
+            radius = eps * half
+            point = np.clip(c + gen_rng.uniform(-radius, radius), lo, hi)
+        X.append([float(min(max(v, a), b)) for v, (a, b) in zip(point, INPUT_RANGES)])
+    X = np.array(X)
+    return np.array(present), X, simenv.ground_truth_labels(X, oracle)
+
+
+def head(trace, n):
+    """The first n rows of a trace, as a trace of their own."""
+    return simenv.Trace(trace.present[:n], trace.X[:n], trace.label[:n])
+
+
 class TestEnvGenerator:
     def test_uniform_within_ranges(self):
-        gen = simenv.EnvGenerator(mode="uniform", seed=1)
-        for _ in range(100):
-            c = gen.next_input()
-            for v, (lo, hi) in zip(c.as_tuple(), INPUT_RANGES):
-                assert lo <= v <= hi
+        X = simenv.EnvGenerator(mode="uniform", seed=1).draw(100)
+        assert X.shape == (100, 5)
+        assert ((np.array(INPUT_RANGES)[:, 0] <= X) & (X <= np.array(INPUT_RANGES)[:, 1])).all()
 
     def test_random_walk_within_ranges(self):
-        gen = simenv.EnvGenerator(mode="random_walk", seed=2)
-        for _ in range(100):
-            c = gen.next_input()
-            for v, (lo, hi) in zip(c.as_tuple(), INPUT_RANGES):
-                assert lo <= v <= hi
+        X = simenv.EnvGenerator(mode="random_walk", seed=2).draw(100)
+        assert X.shape == (100, 5)
+        assert ((np.array(INPUT_RANGES)[:, 0] <= X) & (X <= np.array(INPUT_RANGES)[:, 1])).all()
 
     def test_seeded_reproducibility(self):
         a = simenv.EnvGenerator(mode="random_walk", seed=3)
         b = simenv.EnvGenerator(mode="random_walk", seed=3)
-        for _ in range(20):
-            assert a.next_input() == b.next_input()
+        assert np.array_equal(a.draw(20), b.draw(20))
+        assert np.array_equal(a.draw(7), b.draw(7))
 
     def test_walk_is_locally_correlated(self):
         # consecutive walk draws stay closer together than uniform draws
@@ -191,13 +219,7 @@ class TestEnvGenerator:
         uni = simenv.EnvGenerator(mode="uniform", seed=4)
 
         def mean_jump(gen):
-            prev = np.array(gen.next_input().as_tuple())
-            total = 0.0
-            for _ in range(200):
-                cur = np.array(gen.next_input().as_tuple())
-                total += float(np.linalg.norm(cur - prev))
-                prev = cur
-            return total / 200
+            return float(np.linalg.norm(np.diff(gen.draw(201), axis=0), axis=1).mean())
 
         assert mean_jump(walk) < mean_jump(uni)
 
@@ -205,13 +227,20 @@ class TestEnvGenerator:
         with pytest.raises(simenv.EnvError):
             simenv.EnvGenerator(mode="adversarial")
 
+    @pytest.mark.parametrize("mode", ["uniform", "random_walk"])
+    def test_blocks_split_anywhere(self, mode):
+        whole = simenv.EnvGenerator(mode=mode, seed=5).draw(300)
+        gen = simenv.EnvGenerator(mode=mode, seed=5)
+        parts = np.concatenate([gen.draw(k) for k in (1, 0, 128, 171)])
+        assert np.array_equal(parts, whole)
+
 
 class TestBallSampleAndDatasets:
     def test_ball_sample_within_eps_and_clipped(self):
         rng = np.random.default_rng(0)
         c0 = simenv.ColliderState(9.5, 0.2, 0.1, 1.9, 0.0)
         for s in simenv.ball_sample(c0, 1.0, 200, rng):
-            for v, v0, (lo, hi) in zip(s.as_tuple(), c0.as_tuple(), INPUT_RANGES):
+            for v, v0, (lo, hi) in zip(s, c0.as_tuple(), INPUT_RANGES):
                 assert lo <= v <= hi
                 assert abs(v - v0) <= 1.0 + 1e-12
 
@@ -221,20 +250,28 @@ class TestBallSampleAndDatasets:
             (40, 10, 10, 10), seed=5)
         assert [d.role for d in out] == ["train", "val", "confusion", "test"]
         assert [len(d) for d in out] == [40, 10, 10, 10]
+        assert [d.X.shape for d in out] == [(40, 5), (10, 5), (10, 5), (10, 5)]
 
     def test_labels_match_oracle(self):
         oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
         out = simenv.gen_initial_datasets(
             simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0), 2.0,
             (30, 5, 5, 5), seed=6, oracle=oracle)
-        for s in out[0]:
-            assert s.y == simenv.ground_truth_label(
-                simenv.ColliderState(*s.x), oracle)
+        assert out[0].y.tolist() == scalar_labels(out[0].X.tolist(), oracle)
 
     def test_zero_size_rejected(self):
         with pytest.raises(simenv.EnvError):
             simenv.gen_initial_datasets(
                 simenv.ColliderState(0, 5, 3, 1, 0), 1.0, (0, 1, 1, 1), seed=0)
+
+
+def assert_same_rows(trace, present, X, label):
+    assert np.array_equal(trace.present, present)
+    assert np.array_equal(trace.X, X)
+    assert np.array_equal(trace.label, label)
+    assert trace.present.dtype == bool and trace.label.dtype == np.int8
+    assert trace.rows == list(zip(present.tolist(), map(tuple, X.tolist()),
+                                  label.tolist()))
 
 
 class TestTraces:
@@ -245,22 +282,41 @@ class TestTraces:
         simenv.write_trace(path, entries)
         loaded = simenv.read_trace(path)
         assert simenv.trace_hash(loaded) == simenv.trace_hash(entries)
+        assert_same_rows(loaded, entries.present, entries.X, entries.label)
+
+    def test_file_format(self, tmp_path):
+        # the CSV of the per-row writer: CRLF lines, floats as repr
+        trace = simenv.Trace([True, False], [[0.1, 5.0, 1e-05, 1.0, -0.5],
+                                             [-10.0, 0.0, 6.0, 2.0, 1.5]], [1, 0])
+        path = tmp_path / "trace.csv"
+        simenv.write_trace(path, trace)
+        assert path.read_bytes() == (b"present,x1,x2,x3,x4,x5,label\r\n"
+                                     b"1,0.1,5.0,1e-05,1.0,-0.5,1\r\n"
+                                     b"0,-10.0,0.0,6.0,2.0,1.5,0\r\n")
+
+    def test_hash_is_the_per_row_repr_digest(self):
+        trace = simenv.generate_trace(simenv.LABEL_CHUNK + 3, 0.5,
+                                      simenv.EnvGenerator(seed=8), seed=9)
+        h = hashlib.sha256()
+        for p, x, y in trace.rows:
+            h.update(repr((int(p),) + x + (y,)).encode())
+        assert simenv.trace_hash(trace) == h.hexdigest()
 
     def test_presence_rate_matches_p_collider(self):
         gen = simenv.EnvGenerator(mode="uniform", seed=13)
         entries = simenv.generate_trace(5000, 0.8, gen, seed=14)
-        rate = sum(e.present for e in entries) / len(entries)
+        rate = entries.present.mean()
         assert abs(rate - 0.8) < 3 * math.sqrt(0.8 * 0.2 / 5000)
 
     def test_labels_match_oracle_across_chunks(self):
         n = simenv.LABEL_CHUNK + 50
         entries = simenv.generate_trace(n, 0.8, simenv.EnvGenerator(seed=3), seed=4)
         assert len(entries) == n
-        assert [e.label for e in entries] == [
-            simenv.ground_truth_label(e.state) for e in entries]
-        assert all(type(e.label) is int for e in entries)
+        assert entries.label.tolist() == scalar_labels(entries.X.tolist(),
+                                                       simenv.OracleConfig())
+        assert all(type(y) is int for _, _, y in entries.rows)
         short = simenv.generate_trace(60, 0.8, simenv.EnvGenerator(seed=3), seed=4)
-        assert simenv.trace_hash(short) == simenv.trace_hash(entries[:60])
+        assert simenv.trace_hash(short) == simenv.trace_hash(head(entries, 60))
 
     def test_same_seed_same_trace(self):
         a = simenv.generate_trace(50, 0.5, simenv.EnvGenerator(seed=1), seed=2)
@@ -268,36 +324,125 @@ class TestTraces:
         assert simenv.trace_hash(a) == simenv.trace_hash(b)
 
 
+class TestBlockDraws:
+    """The block draws against the per-situation generator they replaced."""
+
+    N = simenv.LABEL_CHUNK + 37          # crosses a chunk boundary
+
+    @pytest.mark.parametrize("mode, kw", [
+        ("uniform", {}),
+        ("random_walk", {}),
+        ("random_walk", {"center": (-0.442, 4.169, 1.461, 0.735, -0.42),
+                         "eps": 0.1, "walk_scale": 0.05}),
+    ])
+    def test_matches_scalar_generator(self, mode, kw):
+        oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
+        center = kw.get("center")
+        gen = simenv.EnvGenerator(
+            mode=mode, seed=31, eps=kw.get("eps", 0.5),
+            walk_scale=kw.get("walk_scale", 0.5),
+            center=simenv.ColliderState(*center) if center else None)
+        trace = simenv.generate_trace(self.N, 0.8, gen, seed=32, oracle=oracle)
+        assert_same_rows(trace, *scalar_trace(self.N, 0.8, 31, 32, mode=mode,
+                                              oracle=oracle, **kw))
+
+    @pytest.mark.parametrize("mode", ["uniform", "random_walk"])
+    def test_lazy_chunks_are_a_prefix_of_the_eager_trace(self, mode):
+        n = 3 * simenv.LABEL_CHUNK + 11
+        eager = simenv.generate_trace(n, 0.7, simenv.EnvGenerator(mode=mode, seed=5), 6)
+        lazy = simenv.lazy_trace(n, 0.7, simenv.EnvGenerator(mode=mode, seed=5), 6)
+        assert len(lazy) == n and lazy.rows == []
+        for k in (1, 2):
+            lazy.extend_to((k - 1) * simenv.LABEL_CHUNK + 1)
+            rows = k * simenv.LABEL_CHUNK
+            assert len(lazy.rows) == rows
+            assert_same_rows(lazy, eager.present[:rows], eager.X[:rows],
+                             eager.label[:rows])
+            assert simenv.trace_hash(lazy) == simenv.trace_hash(head(eager, rows))
+        lazy.extend_to(n)
+        assert simenv.trace_hash(lazy) == simenv.trace_hash(eager)
+
+    def test_lazy_trace_stops_at_its_cap(self):
+        lazy = simenv.lazy_trace(10, 0.5, simenv.EnvGenerator(seed=1), 2)
+        lazy.extend_to(10)
+        assert len(lazy.rows) == 10
+        with pytest.raises(simenv.TraceExhausted, match="10 rows"):
+            lazy.extend_to(11)
+
+
+class TestReadTrace:
+    HEADER = "present,x1,x2,x3,x4,x5,label\n"
+    GOOD = "1,0.5,5.0,1.0,1.0,0.0,1\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        return path, lambda: simenv.read_trace(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header"),
+        ("present,x1,x2,x3,x4,x5\n" + GOOD, "header"),
+        (HEADER + GOOD + "1,0.5,5.0,1.0,1.0,0.0\n", "row 2: 6 columns"),
+        (HEADER + GOOD + GOOD + "1,0.5,5.0,1.0,1.0,0.0,1,0\n", "row 3: 8 columns"),
+        (HEADER + "1,0.5,5.0,1.0,1.0,0.0\n" * 2, "row 1: 6 columns"),
+        (HEADER + GOOD + "\n" + "  \n" + GOOD, "row 2: 1 columns"),
+        (HEADER + "1,0.5,five,1.0,1.0,0.0,1\n", "row 1: non-numeric"),
+        (HEADER + GOOD + "2,0.5,5.0,1.0,1.0,0.0,1\n", "row 2: .*present and label"),
+        (HEADER + "1,0.5,5.0,1.0,1.0,0.0,0.5\n", "row 1: .*present and label"),
+        (HEADER + GOOD * 3 + "0,0.5,nan,1.0,1.0,0.0,0\n", "row 4: .*finite"),
+        (HEADER + GOOD + "1,0.5,5.0,inf,1.0,0.0,0\n", "row 2: .*finite"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path, read = self.read(tmp_path, text)
+        with pytest.raises(simenv.EnvError, match=message) as info:
+            read()
+        assert str(path) in str(info.value)
+
+    def test_short_file_exhausts_with_path_and_size(self, tmp_path):
+        path, read = self.read(tmp_path, self.HEADER + self.GOOD * 2)
+        world = simenv.World(read())
+        with pytest.raises(simenv.TraceExhausted) as info:
+            world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
+                       np.random.default_rng(0))
+        assert str(path) in str(info.value) and "2 rows" in str(info.value)
+
+    def test_header_only_file_is_an_empty_trace(self, tmp_path):
+        _, read = self.read(tmp_path, self.HEADER)
+        trace = read()
+        assert len(trace) == 0 and trace.rows == []
+
+
 class TestWorld:
-    def entry(self, present, label, x1=0.0):
-        state = simenv.ColliderState(x1, 5.0, 0.0, 0.0, 0.0)
-        return simenv.TraceEntry(present, state, label)
+    def trace(self, *rows):
+        """A trace of (present, label) rows at a fixed state."""
+        return simenv.Trace([p for p, _ in rows], [[0.0, 5.0, 0.0, 0.0, 0.0]] * len(rows),
+                            [y for _, y in rows])
 
     def test_absent_collider_moves_freely(self):
-        world = simenv.World([self.entry(False, 0)])
+        world = simenv.World(self.trace((False, 0)))
         rec = world.step(ScriptedRuntime([0]), np.random.default_rng(0))
         assert rec.outcome == "done"
         assert rec.elapsed == 10.0 and rec.waits == 0 and rec.queries == 0
 
     def test_move_into_collider_collides(self):
-        world = simenv.World([self.entry(True, 1)])
+        world = simenv.World(self.trace((True, 1)))
         rec = world.step(ScriptedRuntime([0], move_probs=(1.0, 0.0)),
                          np.random.default_rng(0))
         assert rec.outcome == "collision"
         assert rec.elapsed == 10.0
 
     def test_wait_redraws_the_situation(self):
-        trace = [self.entry(True, 1), self.entry(True, 1), self.entry(False, 0)]
-        world = simenv.World(trace)
+        world = simenv.World(self.trace((True, 1), (True, 1), (False, 0)))
         rec = world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
                          np.random.default_rng(0))
         assert rec.outcome == "done"
         assert rec.waits == 2
         assert rec.elapsed == 2 * 2.0 + 10.0
         assert rec.queries == 2
+        assert world.cursor == 3
 
     def test_trace_exhaustion_reported(self):
-        world = simenv.World([self.entry(True, 1)])
+        world = simenv.World(self.trace((True, 1)))
         with pytest.raises(simenv.TraceExhausted):
             world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
                        np.random.default_rng(0))
@@ -305,12 +450,12 @@ class TestWorld:
                        np.random.default_rng(0))
 
     def test_observations_carry_ground_truth(self):
-        trace = [self.entry(True, 1), self.entry(False, 0)]
-        world = simenv.World(trace)
+        world = simenv.World(self.trace((True, 1), (False, 0)))
         rec = world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
                          np.random.default_rng(0))
         assert rec.observations[0][1] == 1     # prediction
         assert rec.observations[0][2] == 1     # truth
+        assert rec.observations[0][0] == (0.0, 5.0, 0.0, 0.0, 0.0)
 
     def test_perfect_perception_never_collides(self):
         oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
@@ -327,13 +472,10 @@ class TestWorld:
             pass
         assert outcomes and all(o == "done" for o in outcomes)
 
-
-class TestColliderState:
-    def test_clipped_respects_ranges(self):
-        c = simenv.ColliderState.clipped((100.0, -5.0, 100.0, 3.0, -3.0))
-        for v, (lo, hi) in zip(c.as_tuple(), INPUT_RANGES):
-            assert lo <= v <= hi
-
-    def test_clipped_values_are_plain_floats(self):
-        c = simenv.ColliderState.clipped(np.array([0.5, 5.0, 1.0, 1.0, 0.0]))
-        assert all(type(v) is float for v in c.as_tuple())
+    def test_lazy_trace_draws_chunks_as_reached(self):
+        lazy = simenv.lazy_trace(2 * simenv.LABEL_CHUNK, 1.0, simenv.EnvGenerator(seed=4), 5)
+        world = simenv.World(lazy)
+        rt = ScriptedRuntime([1], move_probs=(0.0, 0.0))      # never moves
+        with pytest.raises(simenv.TraceExhausted):
+            world.step(rt, np.random.default_rng(0))
+        assert world.cursor == len(lazy.rows) == len(lazy) == 2 * simenv.LABEL_CHUNK

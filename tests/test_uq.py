@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import uq
-from colavoid.perception import Dataset, Sample
+from colavoid.perception import Dataset
 from conftest import MATRIX_C, MATRIX_C_SHIFT
 
 
@@ -23,8 +23,8 @@ class FixedPredictor:
 
 
 def dataset_of(pairs):
-    return Dataset([Sample((float(i), 0.0, 0.0, 0.0, 0.0), y)
-                    for i, y in enumerate(pairs)], role="confusion")
+    return Dataset([(float(i), 0.0, 0.0, 0.0, 0.0) for i in range(len(pairs))], pairs,
+                   role="confusion")
 
 
 class TestQuantify:
