@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: synthesize, check, simulate, calibrate-oracle, summarize.
+Subcommands: synthesize, check, simulate (one method), compare (all three
+methods on one shared trace), calibrate-oracle, summarize.
 """
 
 from __future__ import annotations
@@ -9,10 +10,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import pmc, simenv, synthesis, uq
-from .harness import (ExperimentConfig, default_specs, format_table, run_experiment,
-                      summarize)
+from .harness import (ENVIRONMENTS, METHODS, ExperimentConfig, default_specs,
+                      format_table, run_comparison, run_experiment, summarize)
 from .pdtmc import ModelConstants, instantiate, parse_model
 from .synthesis import ParamSpace
 
@@ -62,30 +64,32 @@ def cmd_check(args):
     return 0
 
 
+#: experiment flag -> ExperimentConfig field
+CONFIG_FLAGS = {"method": "method", "env": "environment", "steps": "steps",
+                "seed": "seed", "out": "out_dir", "trace": "trace_path"}
+
+
+def _config_from_args(args):
+    """The --config file (or the defaults) with every given flag applied;
+    the config is validated once, with the flags in it."""
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    given = {name: getattr(args, flag) for flag, name in CONFIG_FLAGS.items()
+             if getattr(args, flag, None) is not None}
+    return replace(cfg, **given)
+
+
 def cmd_simulate(args):
-    kwargs = {}
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-        cfg.method = args.method or cfg.method
-        cfg.environment = args.env or cfg.environment
-        if args.steps:
-            cfg.steps = args.steps
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.out_dir = args.out or cfg.out_dir
-        if args.trace:
-            cfg.trace_path = args.trace
-    else:
-        cfg = ExperimentConfig(method=args.method or "sa",
-                               environment=args.env or "us",
-                               steps=args.steps or 15000,
-                               seed=args.seed if args.seed is not None else 0,
-                               out_dir=args.out or "runs/out",
-                               trace_path=args.trace)
-    metrics = run_experiment(cfg)
+    metrics = run_experiment(_config_from_args(args))
     print(json.dumps({"accuracy": metrics.accuracy, "safety_rate": metrics.safety_rate,
                       "mean_step_time": metrics.mean_step_time,
                       "repairs_accepted": metrics.repairs_accepted}, indent=2))
+    return 0
+
+
+def cmd_compare(args):
+    cfg = _config_from_args(args)
+    run_comparison(cfg)
+    print(format_table(*summarize([os.path.join(cfg.out_dir, m) for m in METHODS])))
     return 0
 
 
@@ -129,14 +133,17 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="run one experiment")
-    p.add_argument("--method", choices=("sa", "no", "random"))
-    p.add_argument("--env", choices=("us", "rw"))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--trace", help="shared benchmark trace CSV")
-    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_simulate)
+    compare = sub.add_parser("compare", help="run every method on one shared trace")
+    compare.set_defaults(func=cmd_compare)
+    for q in (p, compare):
+        q.add_argument("--env", choices=ENVIRONMENTS)
+        q.add_argument("--steps", type=int)
+        q.add_argument("--seed", type=int)
+        q.add_argument("--out")
+        q.add_argument("--config", help="JSON config file")
 
     p = sub.add_parser("calibrate-oracle", help="fit the collision radius")
     p.add_argument("--target", type=float, default=0.25)

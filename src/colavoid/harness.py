@@ -2,9 +2,11 @@
 
 A run trains the shared initial classifier/controller pair from the
 pre-collected neighborhood datasets, replays a benchmark trace (a shared
-file, or drawn from the seed as the run reaches it), applies the selected
-method, and persists metrics, per-period series, the monitor trace, the
-event log and a JSON metadata record.
+file, or drawn from the seed as the run reaches it) through a
+`DualRuntime`, and persists metrics, per-period series, the monitor
+trace, a JSON metadata record and, for the adaptive method, the event
+log.  The baselines serve a fixed predictor through a runtime that is
+never signalled.  `run_comparison` runs all three methods on one trace.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -103,20 +105,6 @@ class Metrics:
     series: list                 # (period, accuracy, safety, mean_time)
 
 
-class StaticRuntime:
-    """Fixed predictor/controller pair for the non-adaptive baselines."""
-
-    def __init__(self, predictor, kappa):
-        self._predictor = predictor
-        self.kappa = kappa
-
-    def predict(self, x):
-        return self._predictor.predict(x)
-
-    def move_probability(self, prediction):
-        return self.kappa[0] if prediction == 0 else self.kappa[1]
-
-
 def derive_seeds(seed):
     """Stable per-subsystem seed split."""
     root = np.random.SeedSequence(seed)
@@ -138,10 +126,7 @@ def initial_system(cfg, seeds):
     datasets = simenv.gen_initial_datasets(
         cfg.c0, cfg.eps0, cfg.dataset_sizes, seeds["data"], oracle=cfg.oracle)
     train_set, val_set, confusion_set, test_set = datasets
-    tc = TrainConfig(learning_rate=cfg.train_config.learning_rate,
-                     epochs=cfg.train_config.epochs,
-                     batch_size=cfg.train_config.batch_size,
-                     seed=seeds["train"])
+    tc = replace(cfg.train_config, seed=seeds["train"])
     phi0 = perception.train(seeds["train"], train_set, val_set, tc)
     matrix = uq.evaluate_confusion(MLPPredictor(phi0), confusion_set)
     u0 = uq.quantify(matrix)
@@ -193,20 +178,16 @@ def run_experiment(cfg):
     init = initial_system(cfg, seeds)
     trace = load_or_generate_trace(cfg, seeds)
 
-    if cfg.method == "random":
-        rt = StaticRuntime(RandomGuessPredictor(seeds["random_pred"]), init["kappa0"])
-    elif cfg.method == "no":
-        rt = StaticRuntime(MLPPredictor(init["phi0"]), init["kappa0"])
-    else:
-        repair_cfg = RepairConfig(
-            sample_sizes={"train": cfg.dataset_sizes[0], "val": cfg.dataset_sizes[1],
-                          "confusion": cfg.dataset_sizes[2], "test": cfg.dataset_sizes[3]},
-            train_config=init["tc"], test_gate=cfg.monitor.threshold_2,
-            param_space=cfg.param_space, model=init["model"],
-            state_specs=init["state_specs"], reward_specs=init["reward_specs"],
-            base_valuation=cfg.constants.valuation())
-        rt = DualRuntime(SystemState(init["phi0"], init["kappa0"], 0),
-                         init["datasets"], repair_cfg)
+    predictor = (RandomGuessPredictor(seeds["random_pred"]) if cfg.method == "random"
+                 else MLPPredictor(init["phi0"]))
+    repair_cfg = RepairConfig(
+        sample_sizes=dict(zip(perception.CE_ROLES, cfg.dataset_sizes)),
+        train_config=init["tc"], test_gate=cfg.monitor.threshold_2,
+        param_space=cfg.param_space, model=init["model"],
+        state_specs=init["state_specs"], reward_specs=init["reward_specs"],
+        base_valuation=cfg.constants.valuation())
+    rt = DualRuntime(SystemState(init["phi0"], init["kappa0"], 0), predictor,
+                     init["datasets"], repair_cfg)
 
     world = World(trace, t_move=cfg.constants.t_move, t_wait=cfg.constants.t_wait)
     monitor = Monitor(cfg.monitor)
@@ -258,11 +239,21 @@ def run_experiment(cfg):
         queries=monitor.queries, attempts=attempts, collisions=collisions,
         completed=completed, repairs_signalled=repairs_signalled,
         repairs_accepted=repairs_accepted,
-        unserved=rt.unserved if isinstance(rt, DualRuntime) else 0,
+        unserved=rt.unserved,
         series=series)
 
     _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows)
     return metrics
+
+
+def run_comparison(base_cfg):
+    """Run every method in METHODS on one shared trace: each writes into
+    <base_cfg.out_dir>/<method>, and the trace is <base_cfg.out_dir>/trace.csv.
+    Returns {method: Metrics}."""
+    out, trace = base_cfg.out_dir, os.path.join(base_cfg.out_dir, "trace.csv")
+    return {m: run_experiment(replace(base_cfg, method=m, out_dir=os.path.join(out, m),
+                                      trace_path=trace))
+            for m in METHODS}
 
 
 def _config_hash(cfg):
@@ -294,7 +285,7 @@ def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows):
         writer.writerow(["step", "outcome", "elapsed", "waits", "queries"])
         writer.writerows(step_rows)
     monitor.write_trace(os.path.join(out, "monitor_trace.csv"))
-    if isinstance(rt, DualRuntime):
+    if cfg.method == "sa":
         rt.write_event_log(os.path.join(out, "events.csv"))
     meta = {
         "method": cfg.method, "environment": cfg.environment,

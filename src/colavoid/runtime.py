@@ -1,11 +1,13 @@
 """Dual-component runtime: one component serves while its twin is repaired.
 
-The two components are two slots of `SystemState`s, named "A" and "B";
-`active` is the index of the one that serves predictions.  A repair
-signal runs the repair pipeline in line and holds its (accepted, state)
-result as pending; `finish_repair` installs that result at a later step
-boundary, and on accept the repaired slot becomes the active one.  Until
-then the old component keeps serving and further signals are suppressed.
+This is the one runtime of every method.  The two components are two
+slots of `SystemState`s, named "A" and "B"; `active` is the index of the
+one that serves predictions.  A repair signal runs the repair pipeline in
+line and holds its (accepted, state) result as pending; `finish_repair`
+installs that result at a later step boundary, and on accept the repaired
+slot becomes the active one.  Until then the old component keeps serving
+and further signals are suppressed.  The baselines are never signalled,
+so they serve the predictor they were built with throughout.
 
 Repair completion is a step, not a wall-clock event, so a fixed seed
 gives the same results however long a repair takes.
@@ -51,7 +53,7 @@ class RepairConfig:
 class DualRuntime:
     """Two state slots, the active index and at most one pending repair."""
 
-    def __init__(self, initial_state, datasets, repair_cfg):
+    def __init__(self, initial_state, predictor, datasets, repair_cfg):
         self.states = [initial_state, initial_state]
         self.active = 0
         self.pending = None              # (accepted, state) not yet installed
@@ -61,7 +63,10 @@ class DualRuntime:
         self.events = []                 # (step, active, version, event, detail)
         self.unserved = 0
         self._repair_seed = 0
-        self._predictor = MLPPredictor(initial_state.phi)
+        # the serving pair, read on every query: the active slot's kappa and
+        # a predictor (of its phi, or a baseline's own)
+        self._predictor = predictor
+        self.kappa = initial_state.kappa
 
     # -- prediction side ---------------------------------------------------
 
@@ -73,8 +78,7 @@ class DualRuntime:
         return self._predictor.predict(x)
 
     def move_probability(self, prediction):
-        kappa = self.state.kappa
-        return kappa[0] if prediction == 0 else kappa[1]
+        return self.kappa[0] if prediction == 0 else self.kappa[1]
 
     # -- repair side -------------------------------------------------------
 
@@ -135,6 +139,7 @@ class DualRuntime:
             old, self.active = self.active, 1 - self.active
             self.states[self.active] = new_state
             self._predictor = MLPPredictor(new_state.phi)
+            self.kappa = new_state.kappa
             self._log(step, "swap", f"{NAMES[old]}->{NAMES[self.active]}")
         return accepted
 

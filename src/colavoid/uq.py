@@ -1,7 +1,7 @@
 """Confusion-matrix bookkeeping and uncertainty quantification.
 
-Row-normalizing a confusion matrix turns a trained classifier into the
-misclassification rates injected into the movement chain.
+Row-normalizing the binary confusion matrix turns a trained classifier
+into the misclassification rates injected into the movement chain.
 """
 
 from __future__ import annotations
@@ -18,39 +18,28 @@ class QuantifyError(Exception):
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """k x k counts; entry (i, j) = instances of true class i predicted as j."""
+    """2 x 2 counts; entry (i, j) = instances of true class i predicted as j."""
 
-    counts: tuple               # tuple of row tuples of ints
+    counts: tuple               # ((c00, c01), (c10, c11))
 
     def __post_init__(self):
-        k = len(self.counts)
-        for row in self.counts:
-            if len(row) != k:
-                raise QuantifyError("confusion matrix must be square")
-            if any(c < 0 for c in row):
-                raise QuantifyError("counts must be nonnegative")
-
-    @property
-    def k(self):
-        return len(self.counts)
-
-    @property
-    def total(self):
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def trace(self):
-        return sum(self.counts[i][i] for i in range(self.k))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(self.counts)
+        if len(self.counts) != 2 or any(len(row) != 2 for row in self.counts):
+            raise QuantifyError("confusion matrix must be 2 x 2")
+        if any(c < 0 for row in self.counts for c in row):
+            raise QuantifyError("counts must be nonnegative")
 
     @classmethod
     def read_csv(cls, path):
+        """Two rows of two nonnegative integer counts."""
         with open(path, newline="") as fh:
-            rows = [tuple(int(v) for v in row) for row in csv.reader(fh) if row]
-        return cls(tuple(rows))
+            rows = [row for row in csv.reader(fh) if row]
+        for n, row in enumerate(rows, 1):
+            if len(row) != 2 or not all(v.strip().isdecimal() for v in row):
+                raise QuantifyError(
+                    f"{path}: row {n} is {row}, expected two nonnegative integer counts")
+        if len(rows) != 2:
+            raise QuantifyError(f"{path}: {len(rows)} rows, expected 2")
+        return cls.from_rows(rows)
 
     @classmethod
     def from_rows(cls, rows):
@@ -59,7 +48,7 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class UncertaintyVector:
-    """Row-normalized rates (p00, p01, p10, p11) for the binary case."""
+    """Row-normalized rates (p00, p01, p10, p11)."""
 
     p00: float
     p01: float
@@ -75,33 +64,25 @@ class UncertaintyVector:
         return {"p00": self.p00, "p01": self.p01, "p10": self.p10, "p11": self.p11}
 
 
-def evaluate_confusion(predictor, dataset, k=2):
+def evaluate_confusion(predictor, dataset):
     """Run the predictor over a labelled dataset and count (truth, prediction)."""
     if len(dataset) == 0:
         raise QuantifyError("cannot evaluate on an empty dataset")
-    counts = np.zeros((k, k), dtype=int)
+    counts = np.zeros((2, 2), dtype=int)
     np.add.at(counts, (dataset.y, np.asarray(predictor.predict_batch(dataset.X))), 1)
     return ConfusionMatrix.from_rows(counts)
 
 
-def quantify_rows(matrix):
-    """Row-normalize a confusion matrix into per-class rate rows."""
-    rows = []
+def quantify(matrix):
+    """Uncertainty vector u = (p00, p01, p10, p11): each row normalized."""
+    rates = []
     for i, row in enumerate(matrix.counts):
         total = sum(row)
         if total == 0:
             raise QuantifyError(
                 f"class {i} has no samples in the confusion dataset; enlarge it")
-        rows.append(tuple(c / total for c in row))
-    return rows
-
-
-def quantify(matrix):
-    """Binary-case uncertainty vector u = (p00, p01, p10, p11)."""
-    if matrix.k != 2:
-        raise QuantifyError("uncertainty vector is defined for 2 classes")
-    (p00, p01), (p10, p11) = quantify_rows(matrix)
-    return UncertaintyVector(p00, p01, p10, p11)
+        rates.extend(c / total for c in row)
+    return UncertaintyVector(*rates)
 
 
 def accuracy(predictor, dataset):

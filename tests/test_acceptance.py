@@ -33,14 +33,8 @@ def report(number, description):
 def comparison(tmp_path_factory):
     """Full-scale three-method comparison on one shared benchmark trace."""
     root = tmp_path_factory.mktemp("acceptance")
-    trace = root / "trace.csv"
-    results = {}
-    for method in ("sa", "no", "random"):
-        cfg = harness.ExperimentConfig(method=method, environment="us",
-                                       steps=15000, seed=0,
-                                       out_dir=str(root / method),
-                                       trace_path=str(trace))
-        results[method] = harness.run_experiment(cfg)
+    results = harness.run_comparison(harness.ExperimentConfig(
+        environment="us", steps=15000, seed=0, out_dir=str(root)))
     return root, results
 
 
@@ -216,7 +210,8 @@ def test_criterion_9_dataset_accounting(ref_model):
             base_valuation={"p_collider": 0.8, "p_occ": 0.25})
         state = runtime.SystemState(perception.MLPParams.init_random(0),
                                     (0.2, 0.0), 0)
-        rt = runtime.DualRuntime(state, datasets, cfg)
+        rt = runtime.DualRuntime(state, perception.MLPPredictor(state.phi),
+                                 datasets, cfg)
         rng = np.random.default_rng(3)
         ce_states = simenv.ball_sample(harness.DEFAULT_C0, 0.3, 600, rng)
         ce = perception.Dataset(ce_states, simenv.ground_truth_labels(ce_states, oracle),

@@ -28,12 +28,9 @@ def small_config(out_dir, trace_path, method="sa", **kw):
 def runs(tmp_path_factory):
     """One run per method over a shared benchmark trace."""
     root = tmp_path_factory.mktemp("runs")
-    trace = root / "trace.csv"
-    out = {}
-    for method in harness.METHODS:
-        cfg = small_config(root / method, trace, method=method)
-        out[method] = (cfg, harness.run_experiment(cfg))
-    return root, out
+    metrics = harness.run_comparison(small_config(root, root / "trace.csv"))
+    return root, {m: (small_config(root / m, root / "trace.csv", method=m), metrics[m])
+                  for m in harness.METHODS}
 
 
 class TestSeeds:
@@ -299,9 +296,8 @@ class TestSummarize:
 
 class TestCli:
     def test_check_command(self, capsys, tmp_path):
-        from colavoid import uq
         confusion = tmp_path / "c.csv"
-        uq.ConfusionMatrix.from_rows([[2000, 290], [10, 200]]).write_csv(confusion)
+        confusion.write_text("2000,290\n10,200\n")
         rc = cli.main(["check", "--model", "models/collision.pdtmc",
                        "--params", "1.0,0.0", "--confusion", str(confusion)])
         assert rc == 0
@@ -310,9 +306,8 @@ class TestCli:
         assert result["expected_time"] == pytest.approx(10.727, abs=1e-3)
 
     def test_synthesize_command(self, capsys, tmp_path):
-        from colavoid import uq
         confusion = tmp_path / "c.csv"
-        uq.ConfusionMatrix.from_rows([[2000, 290], [10, 200]]).write_csv(confusion)
+        confusion.write_text("2000,290\n10,200\n")
         out = tmp_path / "synth.json"
         rc = cli.main(["synthesize", "--model", "models/collision.pdtmc",
                        "--confusion", str(confusion), "--out", str(out)])
@@ -346,16 +341,48 @@ class TestCli:
         assert "accuracy" in capsys.readouterr().out
         assert len(out_csv.read_text().strip().splitlines()) == 4
 
-    def test_simulate_command_with_config(self, capsys, tmp_path):
+    @staticmethod
+    def small_config_file(tmp_path, **kw):
         payload = {"method": "no", "environment": "us", "steps": 300, "seed": 1,
                    "dataset_sizes": [200, 60, 60, 60], "eps0": 0.1,
                    "train": {"epochs": 5},
                    "out_dir": str(tmp_path / "out")}
+        payload.update(kw)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
-        rc = cli.main(["simulate", "--config", str(cfg_path),
+        return str(cfg_path)
+
+    def test_simulate_command_with_config(self, capsys, tmp_path):
+        rc = cli.main(["simulate", "--config", self.small_config_file(tmp_path),
                        "--trace", str(tmp_path / "trace.csv")])
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert 0.0 <= result["accuracy"] <= 1.0
         assert (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_simulate_flags_are_validated(self, tmp_path):
+        # a flag takes part in the config check: "sa" needs a full period
+        with pytest.raises(harness.HarnessError, match="period"):
+            cli.main(["simulate", "--config", self.small_config_file(tmp_path),
+                      "--method", "sa", "--steps", "10"])
+
+    def test_simulate_zero_steps_is_a_budget(self, capsys, tmp_path):
+        rc = cli.main(["simulate", "--config", self.small_config_file(tmp_path),
+                       "--steps", "0"])
+        assert rc == 0
+        metrics = dict(line.split(",") for line in
+                       (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:])
+        assert metrics["queries"] == "0"
+
+    def test_compare_command(self, capsys, tmp_path):
+        # "sa" needs a monitoring period within the budget
+        path = self.small_config_file(tmp_path, steps=600,
+                                      monitor={"t_monitor": 300, "d_window": 200})
+        rc = cli.main(["compare", "--config", path, "--out", str(tmp_path / "cmp")])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + len(harness.METHODS)
+        assert [line.split()[1] for line in lines[1:]] == list(harness.METHODS)
+        for method in harness.METHODS:
+            assert (tmp_path / "cmp" / method / "metrics.csv").exists()
+        assert (tmp_path / "cmp" / "trace.csv").exists()

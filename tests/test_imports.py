@@ -1,6 +1,5 @@
-"""Every import in the library and the scripts is used (a stdlib stand-in
-for pyflakes), and every top-level definition of the library is named by
-the program."""
+"""Every import in the library is used (a stdlib stand-in for pyflakes),
+and every top-level definition of the library is named by the program."""
 
 import ast
 import glob
@@ -13,11 +12,8 @@ import colavoid
 
 SRC = os.path.dirname(colavoid.__file__)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPTS = os.path.join(ROOT, "scripts")
-#: test id -> path; library modules by file name, scripts as scripts/<name>
+#: test id -> path of each library module
 FILES = {f: os.path.join(SRC, f) for f in sorted(os.listdir(SRC)) if f.endswith(".py")}
-FILES.update({f"scripts/{f}": os.path.join(SCRIPTS, f)
-              for f in sorted(os.listdir(SCRIPTS)) if f.endswith(".py")})
 
 
 def unused_imports(source):
@@ -103,9 +99,8 @@ def test_every_library_definition_is_named():
                 out[os.path.relpath(path, ROOT)] = fh.read()
         return out
 
-    library = read(FILES[f] for f in FILES if not f.startswith("scripts/"))
-    others = read(glob.glob(os.path.join(ROOT, "scripts", "*.py"))
-                  + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    library = read(FILES.values())
+    others = read(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
     dead = [(path, name) for path, name in dead_definitions(library, others)
             if name not in ORACLES]
     assert dead == []

@@ -30,7 +30,7 @@ def make_runtime(ref_model, test_gate=0.0, seed=0):
                                      bound=15.0),),
         base_valuation={"p_collider": 0.8, "p_occ": 0.25})
     state = runtime.SystemState(pc.MLPParams.init_random(seed), (0.2, 0.0), 0)
-    return runtime.DualRuntime(state, datasets, cfg)
+    return runtime.DualRuntime(state, pc.MLPPredictor(state.phi), datasets, cfg)
 
 
 def active_name(rt):
@@ -179,7 +179,7 @@ class TestSignalFinishSequences:
         """`ops` is a list of (call, accept): `accept` decides the outcome of
         the repair a signal runs and is ignored for a finish."""
         rt = runtime.DualRuntime(runtime.SystemState(PHIS[0], (0.2, 0.0), 0),
-                                 {}, runtime.RepairConfig())
+                                 pc.MLPPredictor(PHIS[0]), {}, runtime.RepairConfig())
         outcome = []
 
         def forced_repair(ce, step):
@@ -205,6 +205,7 @@ class TestSignalFinishSequences:
                 accepted += pending is True
                 pending = None
             assert rt._predictor.params is rt.state.phi
+            assert rt.kappa is rt.state.kappa
             assert rt.state.version == accepted
             assert (rt.pending is None) == (pending is None)
         assert sum(e[3] == "swap" for e in rt.events) == accepted
