@@ -292,7 +292,7 @@ def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows):
         "steps": cfg.steps, "seed": cfg.seed, "seeds": seeds,
         "config_hash": _config_hash(cfg),
         "trace_hash": simenv.trace_hash(world.trace),
-        "trace_rows": len(world.trace.rows),
+        "trace_rows": world.trace.held,
         "trace_used": world.cursor,
         "kappa0": list(init["kappa0"]),
         "u0": [init["u0"].p00, init["u0"].p01, init["u0"].p10, init["u0"].p11],

@@ -221,18 +221,23 @@ class MLPPredictor:
         return 1 if forward(self.params, x) >= 0.5 else 0
 
     def predict_batch(self, X):
+        """Hard labels of the rows of X, as an int array."""
+        X = np.asarray(X, dtype=float)
+        if not np.isfinite(X).all():
+            raise PerceptionError("non-finite input")
         _, p = _forward_pass(self.params.weights, self.params.biases, standardize(X))
         return (p[:, 0] >= 0.5).astype(int)
 
 
 class RandomGuessPredictor:
-    """Seeded coin-flip baseline; ignores its input."""
+    """Seeded coin-flip baseline; ignores its input and draws one coin per
+    row, in row order."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def predict(self, x):
-        return int(self._rng.integers(0, 2))
+    def predict_batch(self, X):
+        return self._rng.integers(0, 2, size=len(X))
 
 
 # ---------------------------------------------------------------------------

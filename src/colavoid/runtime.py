@@ -7,7 +7,8 @@ line and holds its (accepted, state) result as pending; `finish_repair`
 installs that result at a later step boundary, and on accept the repaired
 slot becomes the active one.  Until then the old component keeps serving
 and further signals are suppressed.  The baselines are never signalled,
-so they serve the predictor they were built with throughout.
+so they serve the predictor they were built with throughout.  The world
+calls the serving `predictor` in batches (simenv.World); a swap replaces it.
 
 Repair completion is a step, not a wall-clock event, so a fixed seed
 gives the same results however long a repair takes.
@@ -63,9 +64,9 @@ class DualRuntime:
         self.events = []                 # (step, active, version, event, detail)
         self.unserved = 0
         self._repair_seed = 0
-        # the serving pair, read on every query: the active slot's kappa and
-        # a predictor (of its phi, or a baseline's own)
-        self._predictor = predictor
+        # the serving pair: the active slot's kappa, read on every query, and
+        # a predictor (of its phi, or a baseline's own), read on every step
+        self.predictor = predictor
         self.kappa = initial_state.kappa
 
     # -- prediction side ---------------------------------------------------
@@ -73,9 +74,6 @@ class DualRuntime:
     @property
     def state(self):
         return self.states[self.active]
-
-    def predict(self, x):
-        return self._predictor.predict(x)
 
     def move_probability(self, prediction):
         return self.kappa[0] if prediction == 0 else self.kappa[1]
@@ -138,7 +136,7 @@ class DualRuntime:
         if accepted:
             old, self.active = self.active, 1 - self.active
             self.states[self.active] = new_state
-            self._predictor = MLPPredictor(new_state.phi)
+            self.predictor = MLPPredictor(new_state.phi)
             self.kappa = new_state.kappa
             self._log(step, "swap", f"{NAMES[old]}->{NAMES[self.active]}")
         return accepted

@@ -7,15 +7,16 @@ ground-truth label is 1 iff the two come within the collision radius at
 any sampled instant.
 
 A benchmark trace is a `Trace`: three arrays, `present` (bool), `X`
-(n x 5 float) and `label` (int8), and the same situations as Python rows
-`(present, x, label)`, which `World` replays.  A trace file is read into
-arrays and turned into rows once, at load.  A trace drawn from the seed is
-lazy: it draws and labels LABEL_CHUNK situations at a time when the world
-first reaches them, up to a cap; the draws are made in the same order
-whatever the chunking, so chunk k is the same however many chunks come
-before it, and a lazy trace's rows are a prefix of the eager
-`generate_trace` of the same source.  `trace_hash` covers the rows a trace
-holds: every row of a file, the drawn chunks of a lazy trace.
+(n x 5 float) and `label` (int8), and nothing else.  A trace file is read
+into those arrays.  A trace drawn from the seed is lazy: it draws and
+labels LABEL_CHUNK situations at a time when the world first reaches them,
+up to a cap; the draws are made in the same order whatever the chunking,
+so chunk k is the same however many chunks come before it, and a lazy
+trace's rows are a prefix of the eager `generate_trace` of the same
+source.  `trace_hash` is the sha256 of the arrays' bytes over the rows a
+trace holds: every row of a file, the drawn chunks of a lazy trace.
+`World` serves a trace SERVE_BLOCK rows at a time, with one `predict_batch`
+call of the runtime's serving predictor per block.
 """
 
 from __future__ import annotations
@@ -220,32 +221,33 @@ class TraceExhausted(Exception):
 
 
 TRACE_HEADER = ["present", "x1", "x2", "x3", "x4", "x5", "label"]
-#: One trace row as a CSV line, and as repr((present, x1, ..., x5, label)),
-#: the text trace_hash digests.
+#: One trace row as a CSV line.
 _CSV_ROW = "%d,%r,%r,%r,%r,%r,%d\r\n"
-_HASHED_ROW = "(%d, %r, %r, %r, %r, %r, %d)"
 
 
 class Trace:
-    """Benchmark situations as arrays, `present` (bool), `X` (n x 5 float)
-    and `label` (int8), and as the Python rows `(present, x, label)` that
-    World replays.
+    """Benchmark situations as arrays: `present` (bool), `X` (n x 5 float)
+    and `label` (int8).
 
-    `len` is the cap on the rows the trace may hold.  A trace with a
-    `source` (see lazy_trace) holds fewer: `extend_to` draws more from it,
-    LABEL_CHUNK rows at a time.  `path` names the file the rows came from."""
+    `len` is the cap on the rows the trace may hold; `held` is the number
+    it holds.  A trace with a `source` (see lazy_trace) holds fewer than
+    its cap: `extend_to` draws more from it, LABEL_CHUNK rows at a time.
+    `path` names the file the rows came from."""
 
     def __init__(self, present, X, label, cap=None, source=None, path=None):
         self.present = np.asarray(present, dtype=bool)
         self.X = np.asarray(X, dtype=float).reshape(-1, 5)
         self.label = np.asarray(label, dtype=np.int8)
-        self.rows = _python_rows(self.present, self.X, self.label)
-        self.cap = len(self.rows) if cap is None else cap
+        self.cap = self.held if cap is None else cap
         self.source = source
         self.path = path
 
     def __len__(self):
         return self.cap
+
+    @property
+    def held(self):
+        return len(self.present)
 
     def extend_to(self, n):
         """Draw chunks until the trace holds at least n rows; TraceExhausted
@@ -253,29 +255,11 @@ class Trace:
         if n > self.cap:
             where = f"trace file {self.path}" if self.path else "trace"
             raise TraceExhausted(f"{where} has {self.cap} rows; the run needs more")
-        while len(self.rows) < n:
-            present, X, label = self.source(min(LABEL_CHUNK, self.cap - len(self.rows)))
+        while self.held < n:
+            present, X, label = self.source(min(LABEL_CHUNK, self.cap - self.held))
             self.present = np.concatenate([self.present, present])
             self.X = np.concatenate([self.X, X])
             self.label = np.concatenate([self.label, label.astype(np.int8)])
-            self.rows += _python_rows(present, X, label)
-
-
-def _python_rows(present, X, label):
-    """The rows as Python tuples, converted a chunk at a time so that the
-    temporaries of `tolist` stay small."""
-    rows = []
-    for start in range(0, len(present), LABEL_CHUNK):
-        end = start + LABEL_CHUNK
-        rows += zip(present[start:end].tolist(), map(tuple, X[start:end].tolist()),
-                    label[start:end].tolist())
-    return rows
-
-
-def _text_chunks(rows, fmt):
-    """The rows formatted with `fmt`, joined LABEL_CHUNK rows at a time."""
-    for start in range(0, len(rows), LABEL_CHUNK):
-        yield "".join([fmt % (p, *x, y) for p, x, y in rows[start:start + LABEL_CHUNK]])
 
 
 def lazy_trace(cap, p_collider, gen, seed, oracle=OracleConfig()):
@@ -300,10 +284,15 @@ def generate_trace(n, p_collider, gen, seed, oracle=OracleConfig()):
 
 
 def write_trace(path, trace):
-    """The rows as CSV; floats as repr, so that reading gives the same bits."""
+    """The rows as CSV, formatted LABEL_CHUNK rows at a time; floats as
+    repr, so that reading gives the same bits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n")
-        fh.writelines(_text_chunks(trace.rows, _CSV_ROW))
+        for start in range(0, trace.held, LABEL_CHUNK):
+            part = slice(start, start + LABEL_CHUNK)
+            fh.write("".join([_CSV_ROW % (p, *x, y) for p, x, y in zip(
+                trace.present[part].tolist(), trace.X[part].tolist(),
+                trace.label[part].tolist())]))
 
 
 def read_trace(path):
@@ -349,11 +338,11 @@ def _malformed(path):
 
 
 def trace_hash(trace):
-    """sha256 over the rows the trace holds, each as the text of
-    repr((present, x1, ..., x5, label)) with present and label as ints."""
-    h = hashlib.sha256()
-    for text in _text_chunks(trace.rows, _HASHED_ROW):
-        h.update(text.encode())
+    """sha256 over the rows the trace holds: the bytes of `present` as
+    uint8, then of `X` as little-endian float64, then of `label` as int8."""
+    h = hashlib.sha256(trace.present.astype(np.uint8).tobytes())
+    h.update(trace.X.astype("<f8").tobytes())
+    h.update(trace.label.astype(np.int8).tobytes())
     return h.hexdigest()
 
 
@@ -372,33 +361,60 @@ class StepRecord:
     observations: list       # of (x, prediction, truth)
 
 
+#: Trace rows per batched forward pass of World; a divisor of LABEL_CHUNK.
+#: Larger blocks cost more per row and more memory.
+SERVE_BLOCK = 256
+
+
 class World:
     """Replays a benchmark trace through a runtime's perception/controller.
-    `cursor` counts the situations drawn so far."""
+    `cursor` counts the situations drawn so far.  The block that holds the
+    cursor is predicted with one `predict_batch` call of `runtime.predictor`,
+    and again when a step finds another predictor serving (a repair swap)."""
 
     def __init__(self, trace, t_move=10.0, t_wait=2.0):
         self.trace = trace
         self.cursor = 0
         self.t_move = t_move
         self.t_wait = t_wait
+        self._start = self._end = 0      # the block's trace rows
+        self._block = None               # its present, x and label lists
+        self._rows = None                # its (present, x, prediction, label)
+        self._predictor = None           # whose predictions _rows holds
 
-    def _draw(self):
-        if self.cursor >= len(self.trace.rows):
-            self.trace.extend_to(self.cursor + 1)
-        row = self.trace.rows[self.cursor]
-        self.cursor += 1
-        return row
+    def _enter_block(self, predictor):
+        """Hold the block that starts at the cursor, served by `predictor`."""
+        t, start = self.trace, self.cursor
+        if start >= t.held:
+            t.extend_to(start + 1)
+        self._start, self._end = start, min(start + SERVE_BLOCK, t.held)
+        part = slice(start, self._end)
+        self._block = (t.present[part].tolist(), list(map(tuple, t.X[part].tolist())),
+                       t.label[part].tolist())
+        self._serve(predictor)
+
+    def _serve(self, predictor):
+        """The held block's rows with the predictions of `predictor`."""
+        present, xs, labels = self._block
+        predictions = predictor.predict_batch(self.trace.X[self._start:self._end])
+        self._rows = list(zip(present, xs, predictions.tolist(), labels))
+        self._predictor = predictor
 
     def step(self, runtime, rng):
         """Attempt one movement; ends at the first move (done or collision)."""
+        predictor = runtime.predictor
+        if predictor is not self._predictor and self.cursor < self._end:
+            self._serve(predictor)
         waits = 0
         observations = []
         while True:
-            present, x, label = self._draw()
+            if self.cursor == self._end:
+                self._enter_block(predictor)
+            present, x, prediction, label = self._rows[self.cursor - self._start]
+            self.cursor += 1
             if not present:
                 return StepRecord("done", waits * self.t_wait + self.t_move,
                                   waits, len(observations), observations)
-            prediction = runtime.predict(x)
             observations.append((x, prediction, label))
             move_prob = runtime.move_probability(prediction)
             if rng.random() < move_prob:

@@ -179,7 +179,10 @@ class TestDeterminism:
         "monitor_trace.csv": "8ac33e163127f16c46c5e7f47ae6cdd17a471e060ef15b5fe5342178c09c4420",
         "events.csv": "4152a359b0474bee50444ce5a668ab951d028f5ec7d0923de1087ffc60195c81",
     }
-    GOLDEN_TRACE_HASH = "e567b9aad0ad559a9a79fa24cfd831aa33652667319e0ba70dfa7b80164eabdb"
+    #: sha256 of the trace's arrays (present uint8, X <f8, label int8); the
+    #: trace file it is read from has the same bytes as before the hash
+    #: changed from a digest of per-row repr text.
+    GOLDEN_TRACE_HASH = "a2d04c5c5508848cd4411660cac229d9470793635a39355e774612f8206b1b2c"
 
     def test_golden_artifacts(self, tmp_path):
         cfg = harness.ExperimentConfig(
@@ -193,6 +196,31 @@ class TestDeterminism:
             assert hashlib.sha256(data).hexdigest() == digest, name
         meta = json.load(open(os.path.join(cfg.out_dir, "metadata.json")))
         assert meta["trace_hash"] == self.GOLDEN_TRACE_HASH
+
+    #: The same digests for a file-backed "no" run on a random-walk trace;
+    #: trace.csv is the written trace file.  A baseline writes no events.csv.
+    GOLDEN_NO_RW = {
+        "metrics.csv": "954d38fe7a3a88de256d28a235f0a6297f53dcdc2db4fb015ec40d9e670cbdac",
+        "periods.csv": "a3057b0b3256c41a8f8d87a6829d3299b526ba96bea9cbb776f57be0ed86f915",
+        "steps.csv": "f024f58018b360f01796bef78ce759c2823cd1b6b783be72ce4bfbe0579391b2",
+        "monitor_trace.csv": "95c9380da4687435527a2afb3d436fb7ecfc2c9d4a3ec97a4d053dedbf0a3745",
+        "trace.csv": "71e047fb022506e5a189e783fc6bfbf3224e816e31b1bcffe016a79ef708c140",
+    }
+
+    def test_golden_artifacts_no_rw_file_backed(self, tmp_path):
+        cfg = harness.ExperimentConfig(
+            method="no", environment="rw", steps=1500, seed=5,
+            out_dir=str(tmp_path), trace_path=str(tmp_path / "trace.csv"),
+            dataset_sizes=(400, 100, 100, 100),
+            train_config=TrainConfig(epochs=15))
+        harness.run_experiment(cfg)
+        for name, digest in self.GOLDEN_NO_RW.items():
+            data = open(os.path.join(cfg.out_dir, name), "rb").read()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+        assert not os.path.exists(os.path.join(cfg.out_dir, "events.csv"))
+        meta = json.load(open(os.path.join(cfg.out_dir, "metadata.json")))
+        assert meta["trace_hash"] == simenv.trace_hash(simenv.read_trace(cfg.trace_path))
+        assert meta["trace_rows"] == harness.trace_cap(cfg.steps)
 
     def test_different_seed_changes_metrics(self, runs):
         root, out = runs

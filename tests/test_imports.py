@@ -126,11 +126,15 @@ def test_tracer_targets_exist():
     assert missing == []
 
 
-class WaitingRuntime:
-    """Predicts 0 and moves on it with probability one half."""
+class ZeroPredictor:
+    def predict_batch(self, X):
+        return np.zeros(len(X), dtype=int)
 
-    def predict(self, x):
-        return 0
+
+class WaitingRuntime:
+    """Serves a predictor of 0 and moves on it with probability one half."""
+
+    predictor = ZeroPredictor()
 
     def move_probability(self, prediction):
         return 0.5

@@ -79,6 +79,14 @@ class TestForward:
         with pytest.raises(pc.PerceptionError):
             pc.forward(params, [math.nan, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_batch_row_rejected(self, bad):
+        # one bad row among good ones; NaN >= 0.5 would read as class 0
+        X = np.tile([1.0, 2.0, 3.0, 1.0, 0.1], (6, 1))
+        X[4, 2] = bad
+        with pytest.raises(pc.PerceptionError, match="non-finite input"):
+            pc.MLPPredictor(pc.MLPParams.init_random(0)).predict_batch(X)
+
     def test_batch_agrees_with_single(self):
         params = pc.MLPParams.init_random(7)
         ds = make_dataset(20, lambda x: x[0] > 0, seed=1)
@@ -271,12 +279,17 @@ class TestCounterexampleBookkeeping:
 
 class TestRandomGuess:
     def test_seeded_reproducibility(self):
+        # one coin per row: the same seed and blocks give the same coins
+        X = np.zeros((256, 5))
         p1 = pc.RandomGuessPredictor(9)
         p2 = pc.RandomGuessPredictor(9)
-        assert [p1.predict(None) for _ in range(20)] \
-            == [p2.predict(None) for _ in range(20)]
+        a = np.concatenate([p1.predict_batch(X), p1.predict_batch(X[:20])])
+        b = np.concatenate([p2.predict_batch(X), p2.predict_batch(X[:20])])
+        assert len(a) == 276 and np.array_equal(a, b)
+        assert not np.array_equal(a, np.concatenate(
+            [pc.RandomGuessPredictor(10).predict_batch(X[:k]) for k in (256, 20)]))
 
     def test_roughly_balanced(self):
-        p = pc.RandomGuessPredictor(0)
-        outs = [p.predict(None) for _ in range(2000)]
-        assert abs(sum(outs) - 1000) < 3 * math.sqrt(2000 * 0.25)
+        outs = pc.RandomGuessPredictor(0).predict_batch(np.zeros((2000, 5)))
+        assert set(outs.tolist()) == {0, 1}
+        assert abs(outs.sum() - 1000) < 3 * math.sqrt(2000 * 0.25)

@@ -53,9 +53,10 @@ class TestPrediction:
 
     def test_predict_matches_active_params(self, ref_model):
         rt = make_runtime(ref_model)
-        x = (0.0, 5.0, 3.0, 1.0, 0.0)
-        expected = pc.MLPPredictor(rt.state.phi).predict(x)
-        assert rt.predict(x) == expected
+        X = np.array([(0.0, 5.0, 3.0, 1.0, 0.0), (-4.0, 1.0, 0.5, 2.0, 0.3)])
+        assert rt.predictor.params is rt.state.phi
+        assert np.array_equal(rt.predictor.predict_batch(X),
+                              pc.MLPPredictor(rt.state.phi).predict_batch(X))
 
 
 class TestRepairPipeline:
@@ -102,8 +103,7 @@ class TestRepairPipeline:
 
     def test_check_error_is_reject(self, ref_model, monkeypatch):
         rt = make_runtime(ref_model, test_gate=0.0)
-        x = (0.0, 5.0, 3.0, 1.0, 0.0)
-        before = rt.predict(x)
+        before = rt.predictor
 
         def boom(*args, **kwargs):
             raise pmc.CheckError("forced check failure")
@@ -114,7 +114,7 @@ class TestRepairPipeline:
         assert any(e[3] == "reject" and "forced check failure" in e[4]
                    for e in rt.events)
         assert active_name(rt) == "A" and rt.state.version == 0
-        assert rt.predict(x) == before
+        assert rt.predictor is before
         monkeypatch.undo()
         assert rt.signal_repair(make_ce(60, seed=5), {"safety"}, step=3)
         assert rt.finish_repair(step=4) is True
@@ -144,12 +144,12 @@ class TestRepairPipeline:
         # between the signal and the finish the old component still serves
         assert active_name(rt) == "A" and rt.state.phi is old_phi
         for x in xs:
-            assert rt.predict(x) == pc.MLPPredictor(old_phi).predict(x)
+            assert rt.predictor.predict(x) == pc.MLPPredictor(old_phi).predict(x)
         assert rt.finish_repair(step=2) is True
         new_phi = rt.state.phi
         assert new_phi is not old_phi
         for x in xs:
-            assert rt.predict(x) == pc.MLPPredictor(new_phi).predict(x)
+            assert rt.predictor.predict(x) == pc.MLPPredictor(new_phi).predict(x)
 
 
 class TestSwap:
@@ -204,7 +204,7 @@ class TestSignalFinishSequences:
                 assert rt.finish_repair(step) is pending
                 accepted += pending is True
                 pending = None
-            assert rt._predictor.params is rt.state.phi
+            assert rt.predictor.params is rt.state.phi
             assert rt.kappa is rt.state.kappa
             assert rt.state.version == accepted
             assert (rt.pending is None) == (pending is None)

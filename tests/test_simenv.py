@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,32 +10,41 @@ from colavoid import simenv
 from colavoid.perception import INPUT_RANGES
 
 
+class ScriptedPredictor:
+    """Predicts the scripted outputs in turn, row by row of each batch."""
+
+    def __init__(self, predictions):
+        self.predictions = list(predictions)
+
+    def predict_batch(self, X):
+        return np.resize(self.predictions, len(X))
+
+
+class OraclePredictor:
+    """Predicts with the ground-truth oracle itself."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def predict_batch(self, X):
+        return simenv.ground_truth_labels(X, self.oracle)
+
+
 class ScriptedRuntime:
-    """Minimal predict/move stub for world-stepping tests."""
+    """Minimal serving-predictor/move stub for world-stepping tests."""
 
     def __init__(self, predictions, move_probs=(1.0, 0.0)):
-        self.predictions = list(predictions)
+        self.predictor = ScriptedPredictor(predictions)
         self.move_probs = move_probs
-        self.i = 0
-
-    def predict(self, x):
-        out = self.predictions[self.i % len(self.predictions)]
-        self.i += 1
-        return out
 
     def move_probability(self, prediction):
         return self.move_probs[prediction]
 
 
 class OracleRuntime(ScriptedRuntime):
-    """Predicts with the ground-truth oracle itself."""
-
     def __init__(self, oracle, move_probs=(1.0, 0.0)):
-        self.oracle = oracle
+        self.predictor = OraclePredictor(oracle)
         self.move_probs = move_probs
-
-    def predict(self, x):
-        return simenv.ground_truth_label(simenv.ColliderState(*x), self.oracle)
 
 
 class TestOracle:
@@ -270,8 +280,7 @@ def assert_same_rows(trace, present, X, label):
     assert np.array_equal(trace.X, X)
     assert np.array_equal(trace.label, label)
     assert trace.present.dtype == bool and trace.label.dtype == np.int8
-    assert trace.rows == list(zip(present.tolist(), map(tuple, X.tolist()),
-                                  label.tolist()))
+    assert trace.X.dtype == float and trace.held == len(present) == len(X) == len(label)
 
 
 class TestTraces:
@@ -294,13 +303,28 @@ class TestTraces:
                                      b"1,0.1,5.0,1e-05,1.0,-0.5,1\r\n"
                                      b"0,-10.0,0.0,6.0,2.0,1.5,0\r\n")
 
-    def test_hash_is_the_per_row_repr_digest(self):
+    def test_hash_is_the_digest_of_the_array_bytes(self):
         trace = simenv.generate_trace(simenv.LABEL_CHUNK + 3, 0.5,
                                       simenv.EnvGenerator(seed=8), seed=9)
-        h = hashlib.sha256()
-        for p, x, y in trace.rows:
-            h.update(repr((int(p),) + x + (y,)).encode())
-        assert simenv.trace_hash(trace) == h.hexdigest()
+        data = bytes(trace.present.tolist())
+        data += b"".join(struct.pack("<5d", *x) for x in trace.X.tolist())
+        data += struct.pack(f"{trace.held}b", *trace.label.tolist())
+        assert simenv.trace_hash(trace) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("change", ["ulp", "label", "present"])
+    def test_hash_sees_one_changed_row(self, change):
+        trace = simenv.generate_trace(500, 0.5, simenv.EnvGenerator(seed=8), seed=9)
+        before = simenv.trace_hash(trace)
+        X, label, present = trace.X.copy(), trace.label.copy(), trace.present.copy()
+        if change == "ulp":
+            X[321, 3] = np.nextafter(X[321, 3], np.inf)
+        elif change == "label":
+            label[321] = 1 - label[321]
+        else:
+            present[321] = not present[321]
+        changed = simenv.Trace(present, X, label)
+        assert simenv.trace_hash(changed) != before
+        assert simenv.trace_hash(simenv.Trace(trace.present, trace.X, trace.label)) == before
 
     def test_presence_rate_matches_p_collider(self):
         gen = simenv.EnvGenerator(mode="uniform", seed=13)
@@ -314,7 +338,6 @@ class TestTraces:
         assert len(entries) == n
         assert entries.label.tolist() == scalar_labels(entries.X.tolist(),
                                                        simenv.OracleConfig())
-        assert all(type(y) is int for _, _, y in entries.rows)
         short = simenv.generate_trace(60, 0.8, simenv.EnvGenerator(seed=3), seed=4)
         assert simenv.trace_hash(short) == simenv.trace_hash(head(entries, 60))
 
@@ -351,11 +374,11 @@ class TestBlockDraws:
         n = 3 * simenv.LABEL_CHUNK + 11
         eager = simenv.generate_trace(n, 0.7, simenv.EnvGenerator(mode=mode, seed=5), 6)
         lazy = simenv.lazy_trace(n, 0.7, simenv.EnvGenerator(mode=mode, seed=5), 6)
-        assert len(lazy) == n and lazy.rows == []
+        assert len(lazy) == n and lazy.held == 0
         for k in (1, 2):
             lazy.extend_to((k - 1) * simenv.LABEL_CHUNK + 1)
             rows = k * simenv.LABEL_CHUNK
-            assert len(lazy.rows) == rows
+            assert lazy.held == rows
             assert_same_rows(lazy, eager.present[:rows], eager.X[:rows],
                              eager.label[:rows])
             assert simenv.trace_hash(lazy) == simenv.trace_hash(head(eager, rows))
@@ -365,7 +388,7 @@ class TestBlockDraws:
     def test_lazy_trace_stops_at_its_cap(self):
         lazy = simenv.lazy_trace(10, 0.5, simenv.EnvGenerator(seed=1), 2)
         lazy.extend_to(10)
-        assert len(lazy.rows) == 10
+        assert lazy.held == 10
         with pytest.raises(simenv.TraceExhausted, match="10 rows"):
             lazy.extend_to(11)
 
@@ -409,7 +432,7 @@ class TestReadTrace:
     def test_header_only_file_is_an_empty_trace(self, tmp_path):
         _, read = self.read(tmp_path, self.HEADER)
         trace = read()
-        assert len(trace) == 0 and trace.rows == []
+        assert len(trace) == 0 and trace.held == 0
 
 
 class TestWorld:
@@ -457,6 +480,15 @@ class TestWorld:
         assert rec.observations[0][2] == 1     # truth
         assert rec.observations[0][0] == (0.0, 5.0, 0.0, 0.0, 0.0)
 
+    def test_observations_are_python_values(self):
+        # the monitor and the artifacts see the same types as a per-row replay
+        world = simenv.World(self.trace((True, 1), (True, 0), (False, 0)))
+        rec = world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
+                         np.random.default_rng(0))
+        for x, prediction, label in rec.observations:
+            assert type(x) is tuple and all(type(v) is float for v in x)
+            assert type(prediction) is int and type(label) is int
+
     def test_perfect_perception_never_collides(self):
         oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
         gen = simenv.EnvGenerator(mode="uniform", seed=21)
@@ -478,4 +510,4 @@ class TestWorld:
         rt = ScriptedRuntime([1], move_probs=(0.0, 0.0))      # never moves
         with pytest.raises(simenv.TraceExhausted):
             world.step(rt, np.random.default_rng(0))
-        assert world.cursor == len(lazy.rows) == len(lazy) == 2 * simenv.LABEL_CHUNK
+        assert world.cursor == lazy.held == len(lazy) == 2 * simenv.LABEL_CHUNK

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import uq
-from colavoid.perception import Dataset
+from colavoid.perception import Dataset, MLPParams, MLPPredictor, PerceptionError
 from conftest import MATRIX_C, MATRIX_C_SHIFT
 
 
@@ -117,6 +117,25 @@ class TestAccuracy:
         (c00, c01), (c10, c11) = matrix.counts
         assert uq.accuracy(FixedPredictor(outputs), ds) \
             == pytest.approx((c00 + c11) / len(pairs))
+
+
+class TestNonFiniteInput:
+    """A NaN state is an error, not a class-0 prediction (NaN >= 0.5 is false)."""
+
+    @staticmethod
+    def dataset_with_nan():
+        X = [(1.0, 5.0, 3.0, 1.0, 0.0)] * 3 + [(1.0, float("nan"), 3.0, 1.0, 0.0)]
+        return Dataset(X, [0, 1, 0, 1], role="confusion")
+
+    def test_evaluate_confusion_rejects_nan(self):
+        predictor = MLPPredictor(MLPParams.init_random(0))
+        with pytest.raises(PerceptionError, match="non-finite"):
+            uq.evaluate_confusion(predictor, self.dataset_with_nan())
+
+    def test_accuracy_rejects_nan(self):
+        predictor = MLPPredictor(MLPParams.init_random(0))
+        with pytest.raises(PerceptionError, match="non-finite"):
+            uq.accuracy(predictor, self.dataset_with_nan())
 
 
 class TestCsv:
