@@ -2,9 +2,9 @@
 
 Architecture 5 -> 32 -> 32 -> 1 (ReLU hidden, sigmoid output), trained by
 minibatch SGD on binary cross-entropy with validation-based snapshot
-selection.  Inputs are standardized with a fixed affine map derived from
-the declared input-space ranges, so the training and operating pipelines
-cannot drift apart.
+selection; the layers are views into one flat parameter vector. Inputs are
+standardized with a fixed affine map derived from the declared input-space
+ranges, so the training and operating pipelines cannot drift apart.
 """
 
 from __future__ import annotations
@@ -67,21 +67,32 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:     # also rejects NaN
             raise PerceptionError("learning rate must be positive")
         if self.epochs < 1:
             raise PerceptionError("need at least one epoch")
+        if self.batch_size < 1:
+            raise PerceptionError("batch size must be positive")
+
+
+def _flat(weights, biases):
+    """A flat float copy of the layers (w0, b0, w1, b1, ...) and its views."""
+    arrays = [np.asarray(a) for wb in zip(weights, biases) for a in wb]
+    flat = np.concatenate([a.ravel() for a in arrays], dtype=float)
+    views, at = [], 0
+    for a in arrays:
+        views.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return flat, tuple(views[0::2]), tuple(views[1::2])
 
 
 class MLPParams:
-    """Immutable snapshot of layer weights/biases."""
+    """Immutable snapshot of layer weights/biases (views into one copy)."""
 
     def __init__(self, weights, biases):
-        self.weights = tuple(np.array(w, dtype=float) for w in weights)
-        self.biases = tuple(np.array(b, dtype=float) for b in biases)
-        for w, b in zip(self.weights, self.biases):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise PerceptionError("non-finite parameters")
+        flat, self.weights, self.biases = _flat(weights, biases)
+        if not np.isfinite(flat).all():
+            raise PerceptionError("non-finite parameters")
 
     @classmethod
     def init_random(cls, seed, sizes=LAYER_SIZES):
@@ -103,49 +114,48 @@ class MLPParams:
 def _forward_pass(weights, biases, X):
     """Returns (activations per layer, output probabilities)."""
     acts = [X]
-    h = X
-    n_layers = len(weights)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b
-        if i < n_layers - 1:
-            h = np.maximum(z, 0.0)
-        else:
-            # clipped for numerical safety; output stays in (0, 1)
-            h = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        acts.append(h)
-    return acts, h
+    for w, b in zip(weights, biases):
+        z = np.matmul(acts[-1], w)
+        z += b
+        if len(acts) < len(weights):
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    # sigmoid of z clipped to +-500, for numerical safety
+    np.maximum(z, -500.0, out=z)
+    np.minimum(z, 500.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    return acts, z
 
 
-def forward(params, x):
-    """Probability of class 1 for a single raw input."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+def forward(params, X):
+    """Class-1 probability of each row of raw inputs (or of one input)."""
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
         raise PerceptionError("non-finite input")
-    _, out = _forward_pass(params.weights, params.biases, standardize(x))
-    return float(out[0, 0])
+    return _forward_pass(params.weights, params.biases, standardize(X))[1][:, 0]
 
 
 def _bce_loss(p, y, eps=1e-12):
-    p = np.clip(p, eps, 1.0 - eps)
+    p = np.minimum(np.maximum(p, eps), 1.0 - eps)
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def _gradients(weights, acts, p, y):
-    """Gradients of the mean BCE loss w.r.t. every weight and bias, from a
-    forward pass's activations and output probabilities."""
-    n = len(y)
-    eps = 1e-12
-    p_clip = np.clip(p[:, 0], eps, 1.0 - eps)
+def _gradients(weights, acts, p, y, grads_w, grads_b):
+    """Writes the mean BCE loss's gradients into grads_w and grads_b."""
     # d loss / d z_out for sigmoid + BCE, with the clip's dead zone respected
-    dz = ((p_clip - y) / n)[:, None]
-    grads_w, grads_b = [], []
-    for i in reversed(range(len(weights))):
-        grads_w.append(acts[i].T @ dz)
-        grads_b.append(dz.sum(axis=0))
+    dz = np.maximum(p, 1e-12)
+    np.minimum(dz, 1.0 - 1e-12, out=dz)
+    dz -= y[:, None]
+    dz /= len(y)
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=grads_w[i])
+        np.add.reduce(dz, axis=0, out=grads_b[i])
         if i > 0:
-            dh = dz @ weights[i].T
-            dz = dh * (acts[i] > 0.0)
-    return list(reversed(grads_w)), list(reversed(grads_b))
+            dz = np.matmul(dz, weights[i].T)
+            dz *= acts[i] > 0.0
 
 
 def loss_and_gradients(params, X_std, y):
@@ -154,7 +164,8 @@ def loss_and_gradients(params, X_std, y):
     X_std must already be standardized.
     """
     acts, p = _forward_pass(params.weights, params.biases, X_std)
-    grads_w, grads_b = _gradients(params.weights, acts, p, y)
+    _, grads_w, grads_b = _flat(params.weights, params.biases)
+    _gradients(params.weights, acts, p, y, grads_w, grads_b)
     return _bce_loss(p[:, 0], y), grads_w, grads_b
 
 
@@ -168,24 +179,21 @@ def best_epoch(losses):
     """Index of the minimal validation loss; ties go to the earliest epoch."""
     if not losses:
         raise PerceptionError("no epochs recorded")
-    best = 0
-    for i, loss in enumerate(losses):
-        if loss < losses[best]:
-            best = i
-    return best
+    return int(np.argmin(losses))
 
 
 def train(init, train_set, val_set, cfg):
     """SGD with per-epoch validation; returns the snapshot with the lowest
     validation loss (ties resolved toward the earliest epoch).
 
-    The weights are updated in place and snapshotted once per epoch; a
-    diverged epoch leaves non-finite weights, which the snapshot rejects."""
+    The layers are views into `theta`, their gradients into `grad`. Each
+    epoch's snapshot is a copy, which non-finite (diverged) weights fail."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise PerceptionError("training and validation sets must be nonempty")
     params = init if isinstance(init, MLPParams) else MLPParams.init_random(init)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
+    theta, weights, biases = _flat(params.weights, params.biases)
+    grad, grads_w, grads_b = _flat(params.weights, params.biases)
+    lr, bs = cfg.learning_rate, cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     X, y = standardize(train_set.X), train_set.y.astype(float)
     X_val, y_val = standardize(val_set.X), val_set.y.astype(float)
@@ -194,14 +202,11 @@ def train(init, train_set, val_set, cfg):
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         X_epoch, y_epoch = X[order], y[order]
-        for start in range(0, n, cfg.batch_size):
-            X_batch = X_epoch[start:start + cfg.batch_size]
-            acts, p = _forward_pass(weights, biases, X_batch)
-            gw, gb = _gradients(weights, acts, p, y_epoch[start:start + cfg.batch_size])
-            for w, g in zip(weights, gw):
-                w -= cfg.learning_rate * g
-            for b, g in zip(biases, gb):
-                b -= cfg.learning_rate * g
+        for start in range(0, n, bs):
+            acts, p = _forward_pass(weights, biases, X_epoch[start:start + bs])
+            _gradients(weights, acts, p, y_epoch[start:start + bs], grads_w, grads_b)
+            np.multiply(lr, grad, out=grad)
+            np.subtract(theta, grad, out=theta)
         params = MLPParams(weights, biases)
         val_loss = dataset_loss(params, X_val, y_val)
         if not math.isfinite(val_loss):
@@ -218,15 +223,11 @@ class MLPPredictor:
         self.params = params
 
     def predict(self, x):
-        return 1 if forward(self.params, x) >= 0.5 else 0
+        return int(forward(self.params, x)[0] >= 0.5)
 
     def predict_batch(self, X):
         """Hard labels of the rows of X, as an int array."""
-        X = np.asarray(X, dtype=float)
-        if not np.isfinite(X).all():
-            raise PerceptionError("non-finite input")
-        _, p = _forward_pass(self.params.weights, self.params.biases, standardize(X))
-        return (p[:, 0] >= 0.5).astype(int)
+        return (forward(self.params, X) >= 0.5).astype(int)
 
 
 class RandomGuessPredictor:
@@ -240,9 +241,7 @@ class RandomGuessPredictor:
         return self._rng.integers(0, 2, size=len(X))
 
 
-# ---------------------------------------------------------------------------
-# Dataset bookkeeping for the repair round
-# ---------------------------------------------------------------------------
+# --- Dataset bookkeeping for the repair round ---
 
 CE_ROLES = ("train", "val", "confusion", "test")
 

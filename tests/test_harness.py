@@ -7,7 +7,7 @@ import pytest
 
 from colavoid import cli, harness, simenv
 from colavoid.monitor import MonitorConfig
-from colavoid.perception import TrainConfig
+from colavoid.perception import PerceptionError, TrainConfig
 from colavoid.synthesis import ParamSpace
 
 
@@ -80,6 +80,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"method": "sa", "threaded": True, "stepz": 10}))
         with pytest.raises(harness.HarnessError, match="stepz, threaded"):
+            harness.ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("train", ['{"batch_size": 0}', '{"batch_size": -4}',
+                                       '{"learning_rate": NaN}'])
+    def test_from_json_rejects_a_train_block_that_trains_nothing(self, tmp_path, train):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"method": "sa", "train": %s}' % train)
+        with pytest.raises(PerceptionError):
             harness.ExperimentConfig.from_json(path)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -63,16 +64,16 @@ class TestForward:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x = [rng.uniform(lo, hi) for lo, hi in pc.INPUT_RANGES]
-            assert 0.0 < pc.forward(params, x) < 1.0
+            assert 0.0 < pc.forward(params, x)[0] < 1.0
 
     def test_zero_params_give_half(self):
         params = pc.MLPParams.zeros()
-        assert pc.forward(params, [0.0] * 5) == pytest.approx(0.5)
+        assert pc.forward(params, [0.0] * 5)[0] == pytest.approx(0.5)
 
     def test_deterministic(self):
         params = pc.MLPParams.init_random(3)
         x = [1.0, 2.0, 3.0, 1.0, 0.1]
-        assert pc.forward(params, x) == pc.forward(params, x)
+        assert pc.forward(params, x)[0] == pc.forward(params, x)[0]
 
     def test_non_finite_input_rejected(self):
         params = pc.MLPParams.init_random(0)
@@ -182,14 +183,17 @@ class TestTrain:
         for wa, wb in zip(params.weights, best.weights):
             assert np.array_equal(wa, wb)
 
-    def test_matches_reference_sgd_loop(self):
-        # 150 samples leave a partial last batch; train must not write into
-        # the snapshot it starts from
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 151])
+    @pytest.mark.parametrize("sizes", [(5, 4, 1), (5, 8, 6, 1), (5, 32, 32, 1)],
+                             ids=["5-4-1", "5-8-6-1", "5-32-32-1"])
+    def test_matches_reference_sgd_loop(self, sizes, batch_size):
+        # 150 samples leave a partial last batch at 7 and 32 and one batch
+        # at 151; train must not write into the snapshot it starts from
         rule = lambda x: x[0] + x[1] > 4.0
         train_set = make_dataset(150, rule, seed=40)
         val_set = make_dataset(60, rule, seed=41, role="val")
-        cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, seed=3)
-        init = pc.MLPParams.init_random(5)
+        cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, batch_size=batch_size, seed=3)
+        init = pc.MLPParams.init_random(5, sizes=sizes)
         init_weights = [w.copy() for w in init.weights]
         params = pc.train(init, train_set, val_set, cfg)
         best = reference_train(init, train_set, val_set, cfg)
@@ -197,6 +201,43 @@ class TestTrain:
             assert np.array_equal(a, b)
         for a, b in zip(init.weights, init_weights):
             assert np.array_equal(a, b)
+
+    def test_golden_weights(self):
+        # reference_train shares _gradients with train, so pin the bytes too:
+        # default architecture, a partial last batch of 22
+        rule = lambda x: x[0] + x[1] > 4.0
+        train_set = make_dataset(150, rule, seed=40)
+        val_set = make_dataset(60, rule, seed=41, role="val")
+        cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, seed=3)
+        params = pc.train(pc.MLPParams.init_random(5), train_set, val_set, cfg)
+        digest = hashlib.sha256()
+        for w, b in zip(params.weights, params.biases):
+            digest.update(w.tobytes())
+            digest.update(b.tobytes())
+        assert digest.hexdigest() == \
+            "f541c54152b3c513574689a75bd96f139471b5d0e400b17f397372b9ffd95f8c"
+
+    def test_snapshot_is_a_copy(self, monkeypatch):
+        # the returned epoch's weights must not move with the later epochs'
+        snapshots, live = [], []
+        init = pc.MLPParams.__init__
+
+        def spy(self, weights, biases):
+            init(self, weights, biases)
+            snapshots.append(self)
+            live.append(list(weights) + list(biases))
+
+        monkeypatch.setattr(pc.MLPParams, "__init__", spy)
+        rule = lambda x: x[0] > 0.0
+        train_set = make_dataset(200, rule, seed=30)
+        val_set = make_dataset(80, rule, seed=31, role="val")
+        cfg = pc.TrainConfig(learning_rate=2.0, epochs=8, seed=0)
+        params = pc.train(0, train_set, val_set, cfg)
+        assert snapshots.index(params) < len(snapshots) - 1
+        returned = params.weights + params.biases
+        assert not all(np.array_equal(a, b) for a, b in zip(returned, live[-1]))
+        for a in returned:
+            assert not any(np.shares_memory(a, b) for b in live[-1])
 
     @pytest.mark.parametrize("learning_rate", [1e50, 1e100])
     def test_divergence_raises(self, learning_rate):
@@ -219,6 +260,13 @@ class TestTrain:
             pc.TrainConfig(learning_rate=0.0)
         with pytest.raises(pc.PerceptionError):
             pc.TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -4},
+                                        {"learning_rate": math.nan}],
+                             ids=["batch_size_0", "batch_size_-4", "learning_rate_nan"])
+    def test_config_that_trains_nothing_rejected(self, kwargs):
+        with pytest.raises(pc.PerceptionError):
+            pc.TrainConfig(**kwargs)
 
 
 class TestParamsIO:

@@ -328,7 +328,19 @@ class TestClosedFormOracle:
         rates = np.linspace(0.0, 1.0, 11)
         val = {"p_collider": p_collider, "p_occ": p_occ, "p00": other, "p11": other,
                "c1": c[0], "c2": c[1]}
+        # the well-posed domain of test_safety_and_time, at every swept rate
+        for r in rates:
+            a, b = closed_form(**{**val, rate: r})
+            assume(a + b > 1e-6)
         val[rate] = rates
         stack = instantiate(ref_model, val)
         safety = pmc.until_probability(stack, "collision", "done")
         assert (np.diff(safety) >= -1e-12).all()
+
+    def test_near_zero_round_exit_is_singular(self, ref_model):
+        # outside that domain: at p11 = 1 the round exit a + b is 2e-67
+        stack = instantiate(ref_model, {"p_collider": 1.0, "p_occ": 0.5, "p00": 1.0,
+                                        "p11": np.linspace(0.0, 1.0, 11),
+                                        "c1": 4.02e-67, "c2": 0.0})
+        with pytest.raises(pmc.CheckError, match="singular system after precomputation"):
+            pmc.until_probability(stack, "collision", "done")
