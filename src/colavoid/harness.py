@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import perception, pmc, simenv, synthesis, uq
-from .monitor import Monitor, MonitorConfig, Observation
+from .monitor import Monitor, MonitorConfig
 from .pdtmc import ModelConstants, reference_model
 from .perception import MLPPredictor, RandomGuessPredictor, TrainConfig
 from .runtime import DualRuntime, RepairConfig, SystemState
@@ -94,7 +94,7 @@ class ExperimentConfig:
 class Metrics:
     accuracy: float
     safety_rate: float
-    mean_step_time: float        # completed moves only (see RunningStats.mean_time)
+    mean_step_time: float        # completed moves only (RunningStats.mean_done_time)
     queries: int
     attempts: int
     collisions: int
@@ -193,28 +193,15 @@ def run_experiment(cfg):
     monitor = Monitor(cfg.monitor)
     rng_action = np.random.default_rng(seeds["action"])
 
-    correct = attempts = collisions = completed = 0
-    total_done_time = 0.0
     series = []
     repairs_signalled = repairs_accepted = 0
     step_rows = []
 
     while monitor.queries < cfg.steps:
         rec = world.step(rt, rng_action)
-        for (x, pred, truth) in rec.observations:
-            monitor.observe(Observation(tuple(x), pred, truth, monitor.queries + 1))
-            if pred == truth:
-                correct += 1
-        collided = rec.outcome == "collision"
-        attempts += 1
-        collisions += 1 if collided else 0
-        if not collided:
-            completed += 1
-            total_done_time += rec.elapsed
-        monitor.record_outcome(collided, rec.elapsed)
+        monitor.observe(rec)
+        monitor.log_trace_row(rec)
         step = monitor.queries
-        monitor.log_trace_row(step, rec.observations[-1][1] if rec.observations else "",
-                              rec.observations[-1][2] if rec.observations else "")
         step_rows.append([step, rec.outcome, rec.elapsed, rec.waits, rec.queries])
 
         # first step boundary at/after each monitoring-period boundary
@@ -223,7 +210,7 @@ def run_experiment(cfg):
             series.append([len(series), decision.period_accuracy, decision.safety_rate,
                            decision.mean_time])
             if cfg.method == "sa" and decision.repair and not decision.skipped:
-                ce = monitor.drain_counterexamples()
+                ce = monitor.drain_counterexamples(world.trace)
                 if len(ce):
                     repairs_signalled += 1
                     rt.signal_repair(ce, decision.reasons, step)
@@ -232,12 +219,12 @@ def run_experiment(cfg):
             else:
                 monitor.reset_period()
 
+    total = monitor.total
     metrics = Metrics(
-        accuracy=correct / monitor.queries if monitor.queries else float("nan"),
-        safety_rate=1.0 - collisions / attempts if attempts else 1.0,
-        mean_step_time=total_done_time / completed if completed else float("nan"),
-        queries=monitor.queries, attempts=attempts, collisions=collisions,
-        completed=completed, repairs_signalled=repairs_signalled,
+        accuracy=monitor.correct / monitor.queries if monitor.queries else float("nan"),
+        safety_rate=total.safety_rate, mean_step_time=total.mean_done_time,
+        queries=monitor.queries, attempts=total.attempts, collisions=total.collisions,
+        completed=total.completed, repairs_signalled=repairs_signalled,
         repairs_accepted=repairs_accepted,
         unserved=rt.unserved,
         series=series)

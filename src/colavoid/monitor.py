@@ -1,15 +1,21 @@
 """Sliding-window performance monitoring and repair signalling.
 
-The monitor ingests one observation per perception query and one outcome
-record per attempted movement.  At period boundaries (every T_monitor
-queries) it compares windowed accuracy and period safety/time against the
-configured thresholds and, when a clause fires, exposes the period's
-misclassified inputs as a counterexample dataset.
+The monitor ingests one `simenv.StepRecord` per attempted movement: the
+step's queries, as (trace row, prediction, truth) ints, and its outcome.
+It owns every count taken from them: the run's totals, a window of the
+last d_window queries' correct bits, the period's 2x2 (truth, prediction)
+counts, the trace rows of the period's misclassified queries and the
+period's outcome stats.  At period boundaries (every T_monitor queries) it
+compares windowed accuracy and period safety/time against the configured
+thresholds and, when a clause fires, exposes the period's misclassified
+trace rows as a counterexample dataset.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,14 +24,6 @@ from .perception import Dataset
 
 class MonitorError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Observation:
-    x: tuple
-    prediction: int
-    truth: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -38,63 +36,37 @@ class MonitorConfig:
     time_bound: float = 15.0        # period mean step-time ceiling
 
     def __post_init__(self):
-        if self.t_monitor < 1:
-            raise MonitorError("monitoring period must be at least one step")
+        for name in ("t_monitor", "d_window"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise MonitorError(f"{name} must be a positive integer, got {value!r}")
         for th in (self.threshold_1, self.threshold_2, self.safety_bound):
             if not 0.0 <= th <= 1.0:
                 raise MonitorError("thresholds must lie in [0, 1]")
-
-
-class SlidingWindow:
-    """Bounded FIFO of observations; evicts strictly oldest-first and keeps
-    a running count of its correct predictions."""
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise MonitorError("window capacity must be positive")
-        self.capacity = capacity
-        self._buf = deque(maxlen=capacity)
-        self._correct = 0
-        self._last_step = -1
-
-    def __len__(self):
-        return len(self._buf)
-
-    def __iter__(self):
-        return iter(self._buf)
-
-    def append(self, obs):
-        if obs.step <= self._last_step:
-            raise MonitorError(
-                f"out-of-order step index {obs.step} (last was {self._last_step})")
-        if len(self._buf) == self.capacity:
-            evicted = self._buf[0]
-            self._correct -= evicted.prediction == evicted.truth
-        self._buf.append(obs)
-        self._correct += obs.prediction == obs.truth
-        self._last_step = obs.step
-
-    def accuracy(self):
-        if not self._buf:
-            raise MonitorError("accuracy over an empty window is undefined")
-        return self._correct / len(self._buf)
-
-    def is_full(self):
-        return len(self._buf) == self.capacity
+        if math.isnan(self.time_bound):
+            raise MonitorError("time bound must be a number")
 
 
 @dataclass
 class RunningStats:
-    """Per-period movement outcomes, updated incrementally."""
+    """Movement outcomes, a period's or the run's, updated incrementally."""
 
     attempts: int = 0
     collisions: int = 0
-    total_time: float = 0.0
+    total_time: float = 0.0          # over every attempted move
+    done_time: float = 0.0           # over the completed moves only
 
     def record(self, collided, elapsed):
         self.attempts += 1
-        self.collisions += 1 if collided else 0
         self.total_time += elapsed
+        if collided:
+            self.collisions += 1
+        else:
+            self.done_time += elapsed
+
+    @property
+    def completed(self):
+        return self.attempts - self.collisions
 
     @property
     def safety_rate(self):
@@ -105,11 +77,15 @@ class RunningStats:
     @property
     def mean_time(self):
         """Mean time over every attempted move, collisions included, as the
-        model's R[F done|collision] counts it (the run's mean_step_time in
-        metrics.csv averages completed moves only)."""
+        model's R[F done|collision] counts it."""
         if self.attempts == 0:
             return 0.0
         return self.total_time / self.attempts
+
+    @property
+    def mean_done_time(self):
+        """Mean time over the completed moves (metrics.csv mean_step_time)."""
+        return self.done_time / self.completed if self.completed else float("nan")
 
 
 @dataclass(frozen=True)
@@ -124,64 +100,83 @@ class RepairDecision:
 
 
 class Monitor:
-    """Owns the query count, the period boundaries, the sliding window, the
-    period stats and the counterexample log."""
+    """Owns the query count, the period boundaries, the window, the period
+    counts and stats, the run's totals and the exported trace."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.window = SlidingWindow(cfg.d_window)
-        self.stats = RunningStats()
-        self._period_obs = []          # observations of the current period
-        self._trace = []               # rows for the exported trace CSV
+        self.window = deque(maxlen=cfg.d_window)  # correct bits, oldest first
+        self.window_correct = 0
+        self.counts = [0, 0, 0, 0]     # period (truth, prediction): 00, 01, 10, 11
+        self.wrong_rows = []           # trace rows of the period's misclassified queries
+        self.stats = RunningStats()    # the period's outcomes
+        self.total = RunningStats()    # the run's outcomes
         self.queries = 0
+        self.correct = 0               # the run's correct predictions
+        self._trace = []               # rows for the exported trace CSV
         self._next_boundary = cfg.t_monitor
 
-    def observe(self, obs):
-        """Ingest one perception query's observation."""
-        self.window.append(obs)
-        self._period_obs.append(obs)
-        self.queries += 1
-
-    def record_outcome(self, collided, elapsed):
-        """Ingest one attempted one-step movement's outcome."""
-        self.stats.record(collided, elapsed)
+    def observe(self, rec):
+        """Ingest one step's queries and its movement outcome."""
+        window, counts, wrong_rows = self.window, self.counts, self.wrong_rows
+        full, correct = window.maxlen, 0
+        for row, prediction, truth in rec.observations:
+            ok = prediction == truth
+            if len(window) == full:
+                self.window_correct -= window[0]
+            window.append(ok)
+            counts[2 * truth + prediction] += 1
+            if ok:
+                correct += 1
+            else:
+                wrong_rows.append(row)
+        self.window_correct += correct
+        self.correct += correct
+        self.queries += len(rec.observations)
+        collided = rec.outcome == "collision"
+        self.stats.record(collided, rec.elapsed)
+        self.total.record(collided, rec.elapsed)
 
     def at_period_boundary(self):
         """True once the period's query quota is met (steps may overshoot)."""
         return self.queries >= self._next_boundary
 
+    def window_accuracy(self):
+        if not self.window:
+            raise MonitorError("accuracy over an empty window is undefined")
+        return self.window_correct / len(self.window)
+
     def evaluate(self):
         """Period-boundary repair decision per the threshold clauses."""
-        obs = self._period_obs
-        period_acc = (sum(o.prediction == o.truth for o in obs) / len(obs)
-                      if obs else float("nan"))
-        if not self.window.is_full():
+        n = sum(self.counts)
+        period_acc = (self.counts[0] + self.counts[3]) / n if n else float("nan")
+        stats = self.stats
+        if len(self.window) < self.cfg.d_window:
             return RepairDecision(False, frozenset(), float("nan"), period_acc,
-                                  self.stats.safety_rate, self.stats.mean_time,
-                                  skipped=True)
-        acc = self.window.accuracy()
+                                  stats.safety_rate, stats.mean_time, skipped=True)
+        acc = self.window_accuracy()
         reasons = set()
         if acc < self.cfg.threshold_1:
             reasons.add("accuracy")
-        if self.stats.safety_rate < self.cfg.safety_bound:
+        if stats.safety_rate < self.cfg.safety_bound:
             reasons.add("safety")
-        if self.stats.mean_time > self.cfg.time_bound:
+        if stats.mean_time > self.cfg.time_bound:
             reasons.add("time")
         return RepairDecision(bool(reasons), frozenset(reasons), acc, period_acc,
-                              self.stats.safety_rate, self.stats.mean_time)
+                              stats.safety_rate, stats.mean_time)
 
-    def drain_counterexamples(self):
-        """Misclassified observations of the just-finished period, as a
-        dataset of their inputs and true labels.
+    def drain_counterexamples(self, trace):
+        """The just-finished period's misclassified queries, as a dataset of
+        their trace rows' inputs and true labels.
 
         A non-empty set marks the last trace row as the repair step.  Resets
-        the period log and stats; callable only at a boundary.
+        the period counts and stats; callable only at a boundary.
         """
         if not self.at_period_boundary():
             raise MonitorError("period not yet complete")
-        wrong = [o for o in self._period_obs if o.prediction != o.truth]
-        ce = Dataset([o.x for o in wrong], [o.truth for o in wrong], role="train")
-        if len(ce) and self._trace:
+        rows = self.wrong_rows
+        ce = Dataset(trace.X[rows], trace.label[rows], role="train")
+        if rows and self._trace:
             self._trace[-1][-1] = 1
         self._advance_period()
         return ce
@@ -191,16 +186,19 @@ class Monitor:
         self._advance_period()
 
     def _advance_period(self):
-        self._period_obs = []
+        self.counts = [0, 0, 0, 0]
+        self.wrong_rows = []
         self.stats = RunningStats()
         while self._next_boundary <= self.queries:
             self._next_boundary += self.cfg.t_monitor
 
-    def log_trace_row(self, step, prediction, truth):
-        """One monitor_trace.csv row; its repair flag is set by
-        drain_counterexamples."""
-        acc = self.window.accuracy() if len(self.window) else ""
-        self._trace.append([step, prediction, truth, acc,
+    def log_trace_row(self, rec):
+        """The monitor_trace.csv row of the step just observed: the query
+        count, the step's last prediction and truth, and the window and
+        period figures; its repair flag is set by drain_counterexamples."""
+        _, prediction, truth = rec.observations[-1] if rec.observations else ("", "", "")
+        acc = self.window_accuracy() if self.window else ""
+        self._trace.append([self.queries, prediction, truth, acc,
                             self.stats.safety_rate, self.stats.mean_time, 0])
 
     def write_trace(self, path):

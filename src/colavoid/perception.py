@@ -10,6 +10,7 @@ ranges, so the training and operating pipelines cannot drift apart.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:     # also rejects NaN
             raise PerceptionError("learning rate must be positive")
-        if self.epochs < 1:
-            raise PerceptionError("need at least one epoch")
-        if self.batch_size < 1:
-            raise PerceptionError("batch size must be positive")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise PerceptionError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _flat(weights, biases):
@@ -175,13 +176,6 @@ def dataset_loss(params, X_std, y):
     return _bce_loss(p[:, 0], y)
 
 
-def best_epoch(losses):
-    """Index of the minimal validation loss; ties go to the earliest epoch."""
-    if not losses:
-        raise PerceptionError("no epochs recorded")
-    return int(np.argmin(losses))
-
-
 def train(init, train_set, val_set, cfg):
     """SGD with per-epoch validation; returns the snapshot with the lowest
     validation loss (ties resolved toward the earliest epoch).
@@ -198,7 +192,7 @@ def train(init, train_set, val_set, cfg):
     X, y = standardize(train_set.X), train_set.y.astype(float)
     X_val, y_val = standardize(val_set.X), val_set.y.astype(float)
     n = len(y)
-    losses, snapshots = [], []
+    best, best_loss = None, math.inf
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         X_epoch, y_epoch = X[order], y[order]
@@ -211,9 +205,9 @@ def train(init, train_set, val_set, cfg):
         val_loss = dataset_loss(params, X_val, y_val)
         if not math.isfinite(val_loss):
             raise PerceptionError("training diverged (non-finite validation loss)")
-        losses.append(val_loss)
-        snapshots.append(params)
-    return snapshots[best_epoch(losses)]
+        if val_loss < best_loss:
+            best, best_loss = params, val_loss
+    return best
 
 
 class MLPPredictor:

@@ -16,7 +16,10 @@ trace's rows are a prefix of the eager `generate_trace` of the same
 source.  `trace_hash` is the sha256 of the arrays' bytes over the rows a
 trace holds: every row of a file, the drawn chunks of a lazy trace.
 `World` serves a trace SERVE_BLOCK rows at a time, with one `predict_batch`
-call of the runtime's serving predictor per block.
+call of the runtime's serving predictor per block.  A step's queries are
+the present rows of the trace span it consumed; its `StepRecord` names
+them by trace row index, with their predictions and labels, and the
+monitor reads their inputs from the trace.
 """
 
 from __future__ import annotations
@@ -358,7 +361,7 @@ class StepRecord:
     elapsed: float
     waits: int
     queries: int
-    observations: list       # of (x, prediction, truth)
+    observations: list       # of (trace row, prediction, truth) ints
 
 
 #: Trace rows per batched forward pass of World; a divisor of LABEL_CHUNK.
@@ -378,8 +381,7 @@ class World:
         self.t_move = t_move
         self.t_wait = t_wait
         self._start = self._end = 0      # the block's trace rows
-        self._block = None               # its present, x and label lists
-        self._rows = None                # its (present, x, prediction, label)
+        self._rows = None                # its (present, prediction, label)
         self._predictor = None           # whose predictions _rows holds
 
     def _enter_block(self, predictor):
@@ -388,16 +390,14 @@ class World:
         if start >= t.held:
             t.extend_to(start + 1)
         self._start, self._end = start, min(start + SERVE_BLOCK, t.held)
-        part = slice(start, self._end)
-        self._block = (t.present[part].tolist(), list(map(tuple, t.X[part].tolist())),
-                       t.label[part].tolist())
         self._serve(predictor)
 
     def _serve(self, predictor):
         """The held block's rows with the predictions of `predictor`."""
-        present, xs, labels = self._block
-        predictions = predictor.predict_batch(self.trace.X[self._start:self._end])
-        self._rows = list(zip(present, xs, predictions.tolist(), labels))
+        t, part = self.trace, slice(self._start, self._end)
+        predictions = predictor.predict_batch(t.X[part])
+        self._rows = list(zip(t.present[part].tolist(), predictions.tolist(),
+                              t.label[part].tolist()))
         self._predictor = predictor
 
     def step(self, runtime, rng):
@@ -410,12 +410,13 @@ class World:
         while True:
             if self.cursor == self._end:
                 self._enter_block(predictor)
-            present, x, prediction, label = self._rows[self.cursor - self._start]
-            self.cursor += 1
+            row = self.cursor
+            present, prediction, label = self._rows[row - self._start]
+            self.cursor = row + 1
             if not present:
                 return StepRecord("done", waits * self.t_wait + self.t_move,
                                   waits, len(observations), observations)
-            observations.append((x, prediction, label))
+            observations.append((row, prediction, label))
             move_prob = runtime.move_probability(prediction)
             if rng.random() < move_prob:
                 outcome = "collision" if label == 1 else "done"

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from colavoid import cli, harness, simenv
-from colavoid.monitor import MonitorConfig
+from colavoid.monitor import MonitorConfig, MonitorError
 from colavoid.perception import PerceptionError, TrainConfig
 from colavoid.synthesis import ParamSpace
 
@@ -83,11 +83,21 @@ class TestConfig:
             harness.ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("train", ['{"batch_size": 0}', '{"batch_size": -4}',
-                                       '{"learning_rate": NaN}'])
+                                       '{"learning_rate": NaN}',
+                                       '{"epochs": 1.5}', '{"batch_size": 2.5}'])
     def test_from_json_rejects_a_train_block_that_trains_nothing(self, tmp_path, train):
         path = tmp_path / "cfg.json"
         path.write_text('{"method": "sa", "train": %s}' % train)
         with pytest.raises(PerceptionError):
+            harness.ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("monitor", ['{"d_window": 0}', '{"d_window": 2.5}',
+                                         '{"t_monitor": 2.5}', '{"time_bound": NaN}'])
+    def test_from_json_rejects_a_bad_monitor_block(self, tmp_path, monitor):
+        # rejected when the config is built, before any training
+        path = tmp_path / "cfg.json"
+        path.write_text('{"method": "no", "monitor": %s}' % monitor)
+        with pytest.raises(MonitorError):
             harness.ExperimentConfig.from_json(path)
 
 

@@ -1,14 +1,32 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import monitor as mon
+from colavoid.simenv import StepRecord, Trace
 
 
-def obs(step, prediction=0, truth=0, x=None):
-    return mon.Observation(x=x or (float(step), 0.0, 0.0, 0.0, 0.0),
-                           prediction=prediction, truth=truth, step=step)
+def record(pairs=(), start=0, outcome="done", elapsed=10.0):
+    """A step whose (prediction, truth) queries sit at trace rows start, start + 1, ..."""
+    obs = [(start + i, prediction, truth) for i, (prediction, truth) in enumerate(pairs)]
+    return StepRecord(outcome, elapsed, max(len(obs) - 1, 0), len(obs), obs)
+
+
+def feed(m, pairs, start=0):
+    """One step per query, at consecutive trace rows; returns the next row."""
+    for i, pair in enumerate(pairs):
+        m.observe(record([pair], start + i))
+    return start + len(pairs)
+
+
+def row_trace(labels):
+    """A trace whose row i has input (i, 0, 0, 0, 0) and the given label."""
+    n = len(labels)
+    X = np.zeros((n, 5))
+    X[:, 0] = np.arange(n)
+    return Trace(np.ones(n, dtype=bool), X, labels)
 
 
 def small_cfg(**kw):
@@ -18,68 +36,58 @@ def small_cfg(**kw):
     return mon.MonitorConfig(**defaults)
 
 
-class TestSlidingWindow:
+class TestWindow:
     def test_eviction_is_oldest_first(self):
-        w = mon.SlidingWindow(3)
-        for i in range(5):
-            w.append(obs(i))
-        assert [o.step for o in w] == [2, 3, 4]
-
-    def test_out_of_order_rejected(self):
-        w = mon.SlidingWindow(3)
-        w.append(obs(5))
-        with pytest.raises(mon.MonitorError, match="out-of-order"):
-            w.append(obs(5))
+        m = mon.Monitor(small_cfg(d_window=3))
+        feed(m, [(1, 1), (1, 1), (0, 1), (1, 1), (0, 1)])
+        assert list(m.window) == [False, True, False]
 
     def test_accuracy(self):
-        w = mon.SlidingWindow(4)
-        w.append(obs(0, 1, 1))
-        w.append(obs(1, 0, 1))
-        w.append(obs(2, 0, 0))
-        w.append(obs(3, 1, 0))
-        assert w.accuracy() == 0.5
+        m = mon.Monitor(small_cfg(d_window=4))
+        m.observe(record([(1, 1), (0, 1), (0, 0), (1, 0)]))
+        assert m.window_accuracy() == 0.5
 
     def test_empty_accuracy_undefined(self):
         with pytest.raises(mon.MonitorError):
-            mon.SlidingWindow(2).accuracy()
+            mon.Monitor(small_cfg()).window_accuracy()
+
+    def test_step_without_queries_leaves_the_window(self):
+        m = mon.Monitor(small_cfg(d_window=2))
+        m.observe(record([(1, 1), (0, 1)]))
+        m.observe(record())
+        assert list(m.window) == [True, False] and m.queries == 2
 
     def test_is_full(self):
-        w = mon.SlidingWindow(2)
-        assert not w.is_full()
-        w.append(obs(0))
-        w.append(obs(1))
-        assert w.is_full()
+        m = mon.Monitor(small_cfg(t_monitor=1, d_window=2))
+        m.observe(record([(0, 0)]))
+        assert m.evaluate().skipped
+        m.observe(record([(0, 0)], start=1))
+        assert not m.evaluate().skipped
 
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(mon.MonitorError):
-            mon.SlidingWindow(0)
-
-    @given(st.integers(1, 20), st.integers(0, 50))
+    @given(st.integers(1, 20), st.lists(st.integers(0, 4), max_size=20))
     @settings(max_examples=30, deadline=None)
-    def test_length_never_exceeds_capacity(self, cap, n):
-        w = mon.SlidingWindow(cap)
-        for i in range(n):
-            w.append(obs(i))
-        assert len(w) == min(cap, n)
+    def test_length_never_exceeds_capacity(self, cap, sizes):
+        m = mon.Monitor(small_cfg(d_window=cap))
+        row = 0
+        for k in sizes:
+            m.observe(record([(0, 0)] * k, row))
+            row += k
+        assert len(m.window) == min(cap, sum(sizes))
 
-    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                                        min_size=1, max_size=60))
+    @given(st.integers(1, 12), st.lists(st.lists(st.tuples(st.integers(0, 1),
+                                                           st.integers(0, 1)), max_size=4),
+                                        min_size=1, max_size=30))
     @settings(max_examples=80, deadline=None)
-    def test_running_accuracy_equals_recount(self, cap, pairs):
-        w = mon.SlidingWindow(cap)
-        for i, (prediction, truth) in enumerate(pairs):
-            w.append(obs(i, prediction, truth))
-            recount = sum(1 for o in w if o.prediction == o.truth) / len(w)
-            assert w.accuracy() == recount
-
-    def test_rejected_append_keeps_count(self):
-        w = mon.SlidingWindow(1)
-        w.append(obs(3, 1, 1))
-        with pytest.raises(mon.MonitorError):
-            w.append(obs(2, 0, 1))
-        assert w.accuracy() == 1.0
-        w.append(obs(4, 0, 1))
-        assert w.accuracy() == 0.0
+    def test_running_accuracy_equals_recount(self, cap, steps):
+        m = mon.Monitor(small_cfg(d_window=cap))
+        seen = []
+        for pairs in steps:
+            m.observe(record(pairs, len(seen)))
+            seen += pairs
+            if not seen:
+                continue
+            last = seen[-cap:]
+            assert m.window_accuracy() == sum(p == t for p, t in last) / len(last)
 
 
 class TestRunningStats:
@@ -95,26 +103,41 @@ class TestRunningStats:
         s.record(False, 14.0)
         assert s.mean_time == 12.0
 
+    def test_mean_done_time_counts_completed_moves_only(self):
+        s = mon.RunningStats()
+        s.record(False, 10.0)
+        s.record(True, 20.0)
+        s.record(False, 14.0)
+        assert (s.completed, s.mean_done_time, s.mean_time) == (2, 12.0, 44.0 / 3)
+
     def test_empty_defaults(self):
         s = mon.RunningStats()
         assert s.safety_rate == 1.0 and s.mean_time == 0.0
+        assert math.isnan(s.mean_done_time)
+
+
+class TestRunTotals:
+    def test_totals_span_periods(self):
+        m = mon.Monitor(small_cfg(t_monitor=2))
+        m.observe(record([(1, 1), (0, 1)], outcome="collision", elapsed=12.0))
+        m.reset_period()
+        m.observe(record([(0, 0)], start=2, elapsed=10.0))
+        m.observe(record(elapsed=10.0))
+        assert (m.queries, m.correct) == (3, 2)
+        assert (m.total.attempts, m.total.collisions, m.total.completed) == (3, 1, 2)
+        assert m.total.mean_done_time == 10.0
+        assert m.stats.attempts == 2          # the period's outcomes only
 
 
 class TestRepairDecision:
-    def fill(self, m, correct, wrong, start=0):
-        step = start
-        for _ in range(correct):
-            m.observe(obs(step, 1, 1))
-            step += 1
-        for _ in range(wrong):
-            m.observe(obs(step, 1, 0))
-            step += 1
-        return step
+    def fill(self, m, correct, wrong, outcome="done", elapsed=10.0):
+        """One step of `correct` right and then `wrong` wrong queries."""
+        m.observe(record([(1, 1)] * correct + [(1, 0)] * wrong, m.queries,
+                         outcome, elapsed))
 
     def test_no_repair_when_all_clauses_hold(self):
         m = mon.Monitor(small_cfg())
         self.fill(m, 10, 0)
-        m.record_outcome(False, 10.0)
         decision = m.evaluate()
         assert not decision.repair and decision.reasons == frozenset()
 
@@ -122,21 +145,21 @@ class TestRepairDecision:
         m = mon.Monitor(small_cfg())
         self.fill(m, 8, 2)
         decision = m.evaluate()
-        assert decision.repair and "accuracy" in decision.reasons
+        assert decision.repair and decision.reasons == frozenset({"accuracy"})
         assert decision.accuracy == pytest.approx(6 / 8)  # window holds last 8
 
     def test_safety_clause(self):
         m = mon.Monitor(small_cfg())
-        self.fill(m, 10, 0)
-        for collided in (True, False, False, False):
-            m.record_outcome(collided, 10.0)
+        self.fill(m, 10, 0, outcome="collision")
+        for _ in range(3):
+            m.observe(record())
         decision = m.evaluate()
+        assert decision.safety_rate == 0.75
         assert decision.repair and decision.reasons == frozenset({"safety"})
 
     def test_time_clause(self):
         m = mon.Monitor(small_cfg())
-        self.fill(m, 10, 0)
-        m.record_outcome(False, 20.0)
+        self.fill(m, 10, 0, elapsed=20.0)
         decision = m.evaluate()
         assert decision.repair and decision.reasons == frozenset({"time"})
 
@@ -144,8 +167,7 @@ class TestRepairDecision:
         # exactly at the threshold: >= accuracy, >= safety, <= time are fine
         cfg = small_cfg(threshold_1=0.875)
         m = mon.Monitor(cfg)
-        self.fill(m, 7, 1)
-        m.record_outcome(False, 15.0)
+        self.fill(m, 7, 1, elapsed=15.0)
         decision = m.evaluate()
         assert not decision.repair
 
@@ -161,13 +183,13 @@ class TestRepairDecision:
 
     def test_period_accuracy_on_overshooting_and_skipped_periods(self):
         m = mon.Monitor(small_cfg(d_window=20))
-        step = self.fill(m, 9, 4)            # 13 queries: overshoots the 10 mark
+        self.fill(m, 9, 4)                   # 13 queries: overshoots the 10 mark
         assert m.at_period_boundary()
         d = m.evaluate()
         assert d.skipped and math.isnan(d.accuracy)
         assert d.period_accuracy == 9 / 13
         m.reset_period()
-        self.fill(m, 2, 5, start=step)       # next boundary is at 20 queries
+        self.fill(m, 2, 5)                   # next boundary is at 20 queries
         assert m.at_period_boundary()
         assert m.evaluate().period_accuracy == 2 / 7
 
@@ -180,9 +202,8 @@ class TestRepairDecision:
         m = mon.Monitor(small_cfg(t_monitor=5, d_window=12))
         period = []
         for queries in steps:
-            for prediction, truth in queries:
-                m.observe(obs(m.queries + 1, prediction, truth))
-                period.append(prediction == truth)
+            m.observe(record(queries, m.queries))
+            period += [prediction == truth for prediction, truth in queries]
             if m.at_period_boundary():
                 d = m.evaluate()
                 assert d.period_accuracy == sum(period) / len(period)
@@ -194,77 +215,110 @@ class TestRepairDecision:
 class TestPeriods:
     def test_boundary_detection(self):
         m = mon.Monitor(small_cfg())
-        for i in range(9):
-            m.observe(obs(i))
+        row = feed(m, [(0, 0)] * 9)
         assert not m.at_period_boundary()
-        m.observe(obs(9))
+        feed(m, [(0, 0)], row)
         assert m.at_period_boundary()
 
     def test_overshoot_still_counts_as_boundary(self):
         m = mon.Monitor(small_cfg())
-        for i in range(13):                  # overshoot past the 10-query mark
-            m.observe(obs(i))
+        m.observe(record([(0, 0)] * 13))      # overshoot past the 10-query mark
         assert m.at_period_boundary()
         m.reset_period()
         assert not m.at_period_boundary()
-        for i in range(13, 20):
-            m.observe(obs(i))
+        m.observe(record([(0, 0)] * 7, 13))
         assert m.at_period_boundary()        # next boundary is at 20 queries
 
     def test_drain_outside_boundary_rejected(self):
         m = mon.Monitor(small_cfg())
-        m.observe(obs(0))
+        m.observe(record([(0, 0)]))
         with pytest.raises(mon.MonitorError, match="period"):
-            m.drain_counterexamples()
+            m.drain_counterexamples(row_trace([0]))
 
     def test_drain_returns_misclassified_only(self):
         m = mon.Monitor(small_cfg())
-        for i in range(10):
-            m.observe(obs(i, prediction=i % 2, truth=0))
-        ce = m.drain_counterexamples()
+        feed(m, [(i % 2, 0) for i in range(10)])
+        ce = m.drain_counterexamples(row_trace([0] * 10))
         assert len(ce) == 5
         assert ce.y.tolist() == [0] * 5
         assert ce.X.shape == (5, 5)
+        assert ce.X[:, 0].tolist() == [1, 3, 5, 7, 9]     # the wrong rows, in order
 
-    def test_drain_resets_stats_but_not_window(self):
+    def test_drain_resets_period_but_not_window(self):
         m = mon.Monitor(small_cfg())
-        for i in range(10):
-            m.observe(obs(i, 1, 1))
-        m.record_outcome(True, 10.0)
-        m.drain_counterexamples()
+        m.observe(record([(1, 1)] * 9 + [(0, 1)], outcome="collision"))
+        m.drain_counterexamples(row_trace([1] * 10))
         assert m.stats.attempts == 0
+        assert m.counts == [0, 0, 0, 0] and m.wrong_rows == []
         assert len(m.window) == 8            # window keeps rolling across periods
+        assert m.total.attempts == 1         # and so do the run's totals
 
     def test_counterexample_labels_are_ground_truth(self):
         m = mon.Monitor(small_cfg())
-        for i in range(10):
-            m.observe(obs(i, prediction=0, truth=1))
-        ce = m.drain_counterexamples()
+        feed(m, [(0, 1)] * 10)
+        ce = m.drain_counterexamples(row_trace([1] * 10))
         assert set(ce.y.tolist()) == {1}
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 1), max_size=7)),
+                    max_size=30),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_period_counts_and_counterexamples_equal_recount(self, steps, seed):
+        # steps of 0-7 queries after 0-3 absent rows, against a 5-query period:
+        # the periods overshoot, and every one past the first is drained
+        n = sum(gap + len(predictions) for gap, predictions in steps)
+        trace = row_trace(np.random.default_rng(seed).integers(0, 2, n))
+        m = mon.Monitor(small_cfg(t_monitor=5, d_window=3))
+        row, period = 0, []
+        for gap, predictions in steps:
+            row += gap
+            obs = [(row + i, p, int(trace.label[row + i])) for i, p in enumerate(predictions)]
+            row += len(predictions)
+            m.observe(StepRecord("done", 10.0, 0, len(obs), obs))
+            period += obs
+            if m.at_period_boundary():
+                assert m.counts == [sum((t, p) == cell for _, p, t in period)
+                                    for cell in ((0, 0), (0, 1), (1, 0), (1, 1))]
+                wrong = [r for r, p, t in period if p != t]
+                ce = m.drain_counterexamples(trace)
+                assert ce.X[:, 0].tolist() == wrong
+                assert ce.y.tolist() == trace.label[wrong].tolist()
+                period = []
 
 
 class TestTraceExport:
     def test_trace_csv(self, tmp_path):
         m = mon.Monitor(small_cfg())
         for i in range(3):
-            m.observe(obs(i, 1, 1))
-            m.log_trace_row(i, 1, 1)
+            rec = record([(1, 1)], i)
+            m.observe(rec)
+            m.log_trace_row(rec)
         path = tmp_path / "trace.csv"
         m.write_trace(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "step"
         assert len(lines) == 4
 
+    def test_row_is_the_steps_last_query(self):
+        m = mon.Monitor(small_cfg())
+        for rec in (record(), record([(1, 1), (0, 1)], elapsed=12.0)):
+            m.observe(rec)
+            m.log_trace_row(rec)
+        assert m._trace == [[0, "", "", "", 1.0, 10.0, 0], [2, 0, 1, 0.5, 1.0, 11.0, 0]]
+
     def test_drain_marks_the_repair_row(self):
         m = mon.Monitor(small_cfg(t_monitor=3))
+        trace = row_trace([1] * 6)
         for i in range(3):
-            m.observe(obs(i, 1, 1))
-            m.log_trace_row(i, 1, 1)
-        assert len(m.drain_counterexamples()) == 0      # no misclassification
+            rec = record([(1, 1)], i)
+            m.observe(rec)
+            m.log_trace_row(rec)
+        assert len(m.drain_counterexamples(trace)) == 0     # no misclassification
         for i in range(3, 6):
-            m.observe(obs(i, 0, 1))
-            m.log_trace_row(i, 0, 1)
-        assert len(m.drain_counterexamples()) == 3
+            rec = record([(0, 1)], i)
+            m.observe(rec)
+            m.log_trace_row(rec)
+        assert len(m.drain_counterexamples(trace)) == 3
         assert [row[-1] for row in m._trace] == [0, 0, 0, 0, 0, 1]
 
 
@@ -276,6 +330,14 @@ class TestConfigValidation:
     def test_bad_threshold(self):
         with pytest.raises(mon.MonitorError):
             mon.MonitorConfig(threshold_1=1.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"d_window": 0}, {"d_window": -3}, {"d_window": 2.5}, {"t_monitor": 2.5},
+        {"time_bound": math.nan}],
+        ids=["d_window_0", "d_window_-3", "d_window_2.5", "t_monitor_2.5", "time_bound_nan"])
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(mon.MonitorError):
+            mon.MonitorConfig(**kwargs)
 
     def test_defaults_match_operating_point(self):
         cfg = mon.MonitorConfig()

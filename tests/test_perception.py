@@ -39,7 +39,7 @@ def reference_train(init, train_set, val_set, cfg):
                 [b - cfg.learning_rate * g for b, g in zip(p.biases, gb)])
         losses.append(pc.dataset_loss(p, X_val, y_val))
         snapshots.append(p)
-    return snapshots[pc.best_epoch(losses)]
+    return snapshots[losses.index(min(losses))]      # ties: the earliest epoch
 
 
 class TestStandardize:
@@ -137,18 +137,34 @@ class TestGradients:
 
 
 class TestBestEpoch:
-    def test_strict_minimum(self):
-        assert pc.best_epoch([0.5, 0.3, 0.4]) == 1
+    """train returns the epoch of the lowest validation loss, the earliest
+    on a tie: the losses are scripted through dataset_loss."""
 
-    def test_tie_goes_to_earliest(self):
-        assert pc.best_epoch([0.5, 0.3, 0.3, 0.3]) == 1
+    @pytest.mark.parametrize("losses, best", [
+        ([0.5, 0.3, 0.4], 1), ([0.5, 0.3, 0.3, 0.3], 1), ([3.0, 2.0, 1.0], 2)],
+        ids=["strict_minimum", "tie_goes_to_earliest", "monotone_decrease_picks_last"])
+    def test_train_returns_the_best_epoch(self, monkeypatch, losses, best):
+        snapshots = []
+        init = pc.MLPParams.__init__
 
-    def test_monotone_decrease_picks_last(self):
-        assert pc.best_epoch([3.0, 2.0, 1.0]) == 2
+        def spy(self, weights, biases):
+            init(self, weights, biases)
+            snapshots.append(self)
 
-    def test_empty_rejected(self):
+        scripted = iter(losses)
+        monkeypatch.setattr(pc.MLPParams, "__init__", spy)
+        monkeypatch.setattr(pc, "dataset_loss", lambda params, X, y: next(scripted))
+        rule = lambda x: x[0] > 0.0
+        params = pc.train(pc.MLPParams.init_random(0), make_dataset(40, rule, seed=1),
+                          make_dataset(10, rule, seed=2, role="val"),
+                          pc.TrainConfig(epochs=len(losses), seed=0))
+        # snapshots[0] is the initial parameters; snapshots[1 + e] is epoch e's
+        assert len(snapshots) == 1 + len(losses)
+        assert params is snapshots[1 + best]
+
+    def test_no_epoch_rejected(self):
         with pytest.raises(pc.PerceptionError):
-            pc.best_epoch([])
+            pc.TrainConfig(epochs=0)
 
 
 class TestTrain:
@@ -262,8 +278,10 @@ class TestTrain:
             pc.TrainConfig(epochs=0)
 
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -4},
-                                        {"learning_rate": math.nan}],
-                             ids=["batch_size_0", "batch_size_-4", "learning_rate_nan"])
+                                        {"learning_rate": math.nan}, {"epochs": 1.5},
+                                        {"batch_size": 2.5}],
+                             ids=["batch_size_0", "batch_size_-4", "learning_rate_nan",
+                                  "epochs_1.5", "batch_size_2.5"])
     def test_config_that_trains_nothing_rejected(self, kwargs):
         with pytest.raises(pc.PerceptionError):
             pc.TrainConfig(**kwargs)

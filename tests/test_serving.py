@@ -18,11 +18,12 @@ def serving_runtime(phi, kappa=(0.5, 0.5)):
 
 
 def served(world, rt, rng, queries):
-    """The observations (x, prediction, label) of steps until `queries`
-    queries have been made."""
+    """The queries (x, prediction, label) of steps until `queries` queries
+    have been made, with x read from the trace row."""
     out = []
     while len(out) < queries:
-        out += world.step(rt, rng).observations
+        out += [(tuple(world.trace.X[row].tolist()), p, y)
+                for row, p, y in world.step(rt, rng).observations]
     return out
 
 
@@ -49,7 +50,7 @@ def swap_mid_block(world_cls):
     assert rt.finish_repair(step=1) is True
     after = []
     while world.cursor < 2 * BLOCK:
-        after += [(x, p) for x, p, _ in world.step(rt, rng).observations]
+        after += [(trace.X[row], p) for row, p, _ in world.step(rt, rng).observations]
     return after
 
 

@@ -478,16 +478,27 @@ class TestWorld:
                          np.random.default_rng(0))
         assert rec.observations[0][1] == 1     # prediction
         assert rec.observations[0][2] == 1     # truth
-        assert rec.observations[0][0] == (0.0, 5.0, 0.0, 0.0, 0.0)
+        row = rec.observations[0][0]
+        assert world.trace.X[row].tolist() == [0.0, 5.0, 0.0, 0.0, 0.0]
 
     def test_observations_are_python_values(self):
         # the monitor and the artifacts see the same types as a per-row replay
         world = simenv.World(self.trace((True, 1), (True, 0), (False, 0)))
         rec = world.step(ScriptedRuntime([1], move_probs=(1.0, 0.0)),
                          np.random.default_rng(0))
-        for x, prediction, label in rec.observations:
-            assert type(x) is tuple and all(type(v) is float for v in x)
-            assert type(prediction) is int and type(label) is int
+        for row, prediction, label in rec.observations:
+            assert type(row) is int and type(prediction) is int and type(label) is int
+
+    def test_observations_are_the_present_rows_consumed(self):
+        # absent rows end a step and are no query; waits re-draw the situation
+        world = simenv.World(self.trace((True, 1), (False, 0), (True, 0), (True, 1),
+                                        (False, 0)))
+        rt = ScriptedRuntime([1, 1, 1, 0, 1], move_probs=(1.0, 0.0))   # row 3 moves
+        steps = [world.step(rt, np.random.default_rng(0)) for _ in range(3)]
+        assert [[row for row, _, _ in rec.observations] for rec in steps] == [[0], [2, 3], []]
+        assert [rec.outcome for rec in steps] == ["done", "collision", "done"]
+        assert [label for rec in steps for _, _, label in rec.observations] == \
+            world.trace.label[[0, 2, 3]].tolist()
 
     def test_perfect_perception_never_collides(self):
         oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
