@@ -15,21 +15,41 @@ from dataclasses import replace
 from . import pmc, simenv, synthesis, uq
 from .harness import (ENVIRONMENTS, METHODS, ExperimentConfig, default_specs,
                       format_table, run_comparison, run_experiment, summarize)
-from .pdtmc import ModelConstants, instantiate, parse_model
+from .pdtmc import ModelConstants, ModelError, instantiate, parse_model, reference_model
 from .synthesis import ParamSpace
 
+#: errors of the input of `check` and `synthesize` (their files and values),
+#: which `main` reports as a usage error rather than a traceback
+INPUT_ERRORS = (OSError, ModelError, uq.QuantifyError, synthesis.SynthesisError)
 
-def _load_model(path):
+
+def _load_model(path, constants):
+    """The chain in the file at `path`, or the shipped reference chain."""
+    if path is None:
+        return reference_model(constants)
     with open(path) as fh:
-        return parse_model(fh.read())
+        text = fh.read()
+    try:
+        return parse_model(text, constants.valuation())
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+
+
+def _pair(text):
+    """Exactly two comma-separated floats."""
+    try:
+        c1, c2 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two floats 'c1,c2', got {text!r}") from None
+    return c1, c2
 
 
 def cmd_synthesize(args):
-    model = _load_model(args.model)
+    constants = ModelConstants()
+    model = _load_model(args.model, constants)
     u = uq.quantify(uq.ConfusionMatrix.read_csv(args.confusion))
     space = ParamSpace(counts=(args.grid, args.grid))
     state_specs, reward_specs = default_specs(args.safety_bound, args.time_bound)
-    constants = ModelConstants()
     kappa, qr, feasible = synthesis.synthesize(
         u, model, space, state_specs, reward_specs,
         base_valuation=constants.valuation())
@@ -49,10 +69,10 @@ def cmd_synthesize(args):
 
 
 def cmd_check(args):
-    model = _load_model(args.model)
-    u = uq.quantify(uq.ConfusionMatrix.read_csv(args.confusion))
-    c1, c2 = (float(v) for v in args.params.split(","))
     constants = ModelConstants()
+    model = _load_model(args.model, constants)
+    u = uq.quantify(uq.ConfusionMatrix.read_csv(args.confusion))
+    c1, c2 = args.params
     valuation = dict(constants.valuation())
     valuation.update(u.as_valuation())
     valuation.update({"c1": c1, "c2": c2})
@@ -115,22 +135,24 @@ def cmd_summarize(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="colavoid")
+    parser.set_defaults(input_errors=())
     sub = parser.add_subparsers(dest="command", required=True)
 
+    model_help = "model file (default: the shipped collision.pdtmc)"
     p = sub.add_parser("synthesize", help="grid-search controller synthesis")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", help=model_help)
     p.add_argument("--confusion", required=True)
     p.add_argument("--grid", type=int, default=11)
     p.add_argument("--time-bound", type=float, default=15.0)
     p.add_argument("--safety-bound", type=float, default=0.9)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synthesize)
+    p.set_defaults(func=cmd_synthesize, input_errors=INPUT_ERRORS)
 
     p = sub.add_parser("check", help="evaluate one controller candidate")
-    p.add_argument("--model", required=True)
-    p.add_argument("--params", required=True, help="c1,c2")
+    p.add_argument("--model", help=model_help)
+    p.add_argument("--params", required=True, type=_pair, help="c1,c2")
     p.add_argument("--confusion", required=True)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, input_errors=INPUT_ERRORS)
 
     p = sub.add_parser("simulate", help="run one experiment")
     p.add_argument("--method", choices=METHODS)
@@ -159,8 +181,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except args.input_errors as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ compiled once, and each model is compiled to matrix form once, at
 construction; instantiating a full valuation then only evaluates the
 expressions into the transition matrix of a concrete DTMC, whose rows are
 checked for stochasticity; array-valued parameters give a stack of chains.
-The reference collision-avoidance chain used throughout the project is built
-by :func:`reference_model`.
+The reference collision-avoidance chain used throughout the project ships
+with the package as the model text `collision.pdtmc`; :func:`reference_model`
+parses it, its rewards naming the timing constants of :class:`ModelConstants`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -98,6 +100,8 @@ def _compile(node, text, line_no):
         return param, name
     if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(source):
         value = float(source)
+        if not math.isfinite(value):
+            raise ModelSyntaxError(f"numeral {source!r} overflows", line_no)
         return (lambda valuation: value), format_number(value)
     raise ModelSyntaxError(f"unsupported {source!r} in expression {text!r}", line_no)
 
@@ -211,19 +215,24 @@ class ModelConstants:
     def __post_init__(self):
         if not (0.0 <= self.p_collider <= 1.0 and 0.0 <= self.p_occ <= 1.0):
             raise ModelError("p_collider and p_occ must lie in [0, 1]")
-        if self.t_move < 0 or self.t_wait < 0:
-            raise ModelError("step times must be nonnegative")
+        if not (0.0 <= self.t_move < math.inf and 0.0 <= self.t_wait < math.inf):
+            raise ModelError("step times must be finite and nonnegative")
 
     def valuation(self):
-        return {"p_collider": self.p_collider, "p_occ": self.p_occ}
+        """Every constant by name: p_collider and p_occ value the chain's
+        parameters of that name, t_move and t_wait its rewards."""
+        return {"p_collider": self.p_collider, "p_occ": self.p_occ,
+                "t_move": self.t_move, "t_wait": self.t_wait}
 
 
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
+#: a parameter bound: a numeral of the expression grammar, optionally negative
+_BOUND = rf"\s*(-?(?:{_NUMERAL.pattern}))\s*"
 _LINE_RES = {
-    "param": re.compile(r"param\s+([A-Za-z_][A-Za-z0-9_]*)\s+in\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*;$"),
+    "param": re.compile(rf"param\s+([A-Za-z_][A-Za-z0-9_]*)\s+in\s*\[{_BOUND},{_BOUND}\]\s*;$"),
     "state": re.compile(r"state\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[([^\]]*)\])?\s*;$"),
     "init": re.compile(r"init\s+([A-Za-z_][A-Za-z0-9_]*)\s*;$"),
     "trans": re.compile(r"trans\s+([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+);$"),
@@ -231,8 +240,11 @@ _LINE_RES = {
 }
 
 
-def parse_model(text):
-    """Parse the line-oriented model format into a PDTMC."""
+def parse_model(text, constants=None):
+    """Parse the line-oriented model format into a PDTMC.  A reward is an
+    expression over the names of `constants` (name -> value), evaluated here;
+    rewards and parameter bounds must be finite."""
+    constants = constants or {}
     states = {}
     initial = None
     transitions = []
@@ -251,6 +263,9 @@ def parse_model(text):
             raise ModelSyntaxError(f"malformed {keyword} line", line_no)
         if keyword == "param":
             name, lo, hi = m.group(1), float(m.group(2)), float(m.group(3))
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ModelSyntaxError(
+                    f"bounds of '{name}' must be finite with lo <= hi", line_no)
             if name in params:
                 raise ModelSyntaxError(f"duplicate parameter '{name}'", line_no)
             params[name] = ParamDecl(name, lo, hi)
@@ -279,11 +294,16 @@ def parse_model(text):
             for endpoint in (src, dst):
                 if endpoint not in states:
                     raise ModelSyntaxError(f"undeclared state '{endpoint}'", line_no)
-            rewards[(src, dst)] = float(m.group(3))
+            expr = parse_expr(m.group(3), line_no)
+            for name in sorted(expr.names):
+                if name not in constants:
+                    raise ModelSyntaxError(f"unknown constant '{name}' in reward", line_no)
+            value = float(expr.evaluate(constants))
+            if not math.isfinite(value):
+                raise ModelSyntaxError(f"reward {src}->{dst} is not finite: {value}", line_no)
+            rewards[(src, dst)] = value
     if initial is None:
         raise ModelError("model declares no initial state")
-    if initial not in states:
-        raise ModelError(f"initial state '{initial}' is not declared")
     return PDTMC(states=states, initial=initial, transitions=transitions,
                  rewards=rewards, params=params)
 
@@ -380,69 +400,9 @@ def validate_stochastic(chain):
 # Reference collision-avoidance chain
 # ---------------------------------------------------------------------------
 
-#: Parameters of the reference model in declaration order.
-REFERENCE_PARAMS = ("p_collider", "p_occ", "p00", "p11", "c1", "c2")
-
-
 def reference_model(constants=None):
-    """Build the one-step collision-avoidance chain.
-
-    Topology: from `check` the robot either moves freely (no collider) or
-    meets a collider whose true class is dangerous with probability p_occ.
-    The perception verdict splits each class into a predicted-0 / predicted-1
-    state; the controller then moves with probability c1 (prediction 0) or
-    c2 (prediction 1), otherwise waits and re-samples the situation.  Moving
-    from a dangerous situation is absorbed in `collision`, any other move in
-    `done`.  Move transitions carry reward t_move, waits t_wait.
-    """
-    constants = constants or ModelConstants()
-    e = parse_expr
-    states = {
-        "check": frozenset(),
-        "encounter": frozenset(),
-        "safe": frozenset(),
-        "danger": frozenset(),
-        "safe_pred0": frozenset(),
-        "safe_pred1": frozenset(),
-        "danger_pred0": frozenset(),
-        "danger_pred1": frozenset(),
-        "done": frozenset({"done"}),
-        "collision": frozenset({"collision"}),
-    }
-    transitions = [
-        Transition("check", "done", e("1 - p_collider")),
-        Transition("check", "encounter", e("p_collider")),
-        Transition("encounter", "danger", e("p_occ")),
-        Transition("encounter", "safe", e("1 - p_occ")),
-        # complementary pairs keep every row stochastic for any valuation,
-        # so p01 = 1 - p00 and p10 = 1 - p11 need no parameters of their own
-        Transition("safe", "safe_pred0", e("p00")),
-        Transition("safe", "safe_pred1", e("1 - p00")),
-        Transition("danger", "danger_pred1", e("p11")),
-        Transition("danger", "danger_pred0", e("1 - p11")),
-        Transition("safe_pred0", "done", e("c1")),
-        Transition("safe_pred0", "check", e("1 - c1")),
-        Transition("safe_pred1", "done", e("c2")),
-        Transition("safe_pred1", "check", e("1 - c2")),
-        Transition("danger_pred0", "collision", e("c1")),
-        Transition("danger_pred0", "check", e("1 - c1")),
-        Transition("danger_pred1", "collision", e("c2")),
-        Transition("danger_pred1", "check", e("1 - c2")),
-        Transition("done", "done", e("1")),
-        Transition("collision", "collision", e("1")),
-    ]
-    tm, tw = constants.t_move, constants.t_wait
-    rewards = {
-        ("check", "done"): tm,
-        ("safe_pred0", "done"): tm,
-        ("safe_pred1", "done"): tm,
-        ("danger_pred0", "collision"): tm,
-        ("danger_pred1", "collision"): tm,
-        ("safe_pred0", "check"): tw,
-        ("safe_pred1", "check"): tw,
-        ("danger_pred0", "check"): tw,
-        ("danger_pred1", "check"): tw,
-    }
-    params = {name: ParamDecl(name, 0.0, 1.0) for name in REFERENCE_PARAMS}
-    return PDTMC(states=states, initial="check", transitions=transitions,
-                 rewards=rewards, params=params)
+    """The one-step collision-avoidance chain shipped with the package as
+    `collision.pdtmc`, its rewards timed by `constants` (a ModelConstants;
+    the defaults when None).  The file's comments describe the topology."""
+    text = resources.files(__package__).joinpath("collision.pdtmc").read_text()
+    return parse_model(text, (constants or ModelConstants()).valuation())

@@ -5,15 +5,16 @@ under plain `pytest` the verdict is the test outcome itself.
 """
 
 import contextlib
-import glob
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from colavoid import harness, perception, pmc, runtime, simenv, synthesis
-from colavoid.pdtmc import instantiate, parse_model, reference_model, serialize_model
+from colavoid.pdtmc import (ModelConstants, instantiate, parse_model, reference_model,
+                            serialize_model)
 from colavoid.perception import TrainConfig
 from colavoid.synthesis import ParamSpace
 from conftest import ref_valuation
@@ -183,10 +184,12 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
             a = open(os.path.join(outputs[0], name), "rb").read()
             b = open(os.path.join(outputs[1], name), "rb").read()
             assert a == b, name
-        for path in glob.glob("models/*.pdtmc"):
-            text = open(path).read()
-            model = parse_model(text)
-            assert parse_model(serialize_model(model)) == model, path
+        shipped = [f for f in resources.files("colavoid").iterdir()
+                   if f.name.endswith(".pdtmc")]
+        assert shipped
+        for f in shipped:
+            model = parse_model(f.read_text(), ModelConstants().valuation())
+            assert parse_model(serialize_model(model)) == model, f.name
         ref = reference_model()
         assert parse_model(serialize_model(ref)) == ref
 

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+from importlib import resources
 
 import pytest
 
@@ -344,18 +346,23 @@ class TestCli:
     def test_check_command(self, capsys, tmp_path):
         confusion = tmp_path / "c.csv"
         confusion.write_text("2000,290\n10,200\n")
-        rc = cli.main(["check", "--model", "models/collision.pdtmc",
-                       "--params", "1.0,0.0", "--confusion", str(confusion)])
+        rc = cli.main(["check", "--params", "1.0,0.0", "--confusion", str(confusion)])
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert result["safety"] == pytest.approx(0.98702, abs=1e-5)
         assert result["expected_time"] == pytest.approx(10.727, abs=1e-3)
 
-    def test_synthesize_command(self, capsys, tmp_path):
+    @pytest.mark.parametrize("model_file", [False, True], ids=["shipped", "file"])
+    def test_synthesize_command(self, capsys, tmp_path, model_file):
         confusion = tmp_path / "c.csv"
         confusion.write_text("2000,290\n10,200\n")
         out = tmp_path / "synth.json"
-        rc = cli.main(["synthesize", "--model", "models/collision.pdtmc",
+        model = []
+        if model_file:  # a copy of the shipped file, outside the package
+            copy = tmp_path / "copy.pdtmc"
+            copy.write_text(resources.files("colavoid").joinpath("collision.pdtmc").read_text())
+            model = ["--model", str(copy)]
+        rc = cli.main(["synthesize", *model,
                        "--confusion", str(confusion), "--out", str(out)])
         assert rc == 0
         result = json.loads(out.read_text())
@@ -370,6 +377,38 @@ class TestCli:
             "synth_report.csv":
                 "bd709c51df8e7406f65d4ff604787bfa251041b63a74ab0bd2aff6e51c62647d",
         }
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["check", "--params", "0.2"],
+                     "colavoid check: error: argument --params: "
+                     "expected two floats 'c1,c2', got '0.2'", id="one-param"),
+        pytest.param(["check", "--params", "0.2,0.0,0.1"], "expected two floats",
+                     id="three-params"),
+        pytest.param(["check", "--params", "1.5,0.0"],
+                     "colavoid: error: value 1.5 for 'c1' outside", id="param-out-of-bounds"),
+        pytest.param(["synthesize", "--grid", "1"], "colavoid: error: need at least 2 points",
+                     id="grid-1"),
+        pytest.param(["synthesize", "--confusion", "three_rows.csv"],
+                     "colavoid: error: .*3 rows", id="three-row-confusion"),
+        pytest.param(["synthesize", "--model", "bad.pdtmc"],
+                     "colavoid: error: bad.pdtmc: line 2: undeclared state 'b'",
+                     id="malformed-model"),
+        pytest.param(["synthesize", "--model", "missing.pdtmc"],
+                     "colavoid: error: .*missing.pdtmc", id="missing-model"),
+    ])
+    def test_input_error_is_one_line(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.csv").write_text("2000,290\n10,200\n")
+        (tmp_path / "three_rows.csv").write_text("2000,290\n10,200\n1,1\n")
+        (tmp_path / "bad.pdtmc").write_text("state a;\ntrans a -> b : 1;\n")
+        if "--confusion" not in argv:
+            argv = argv + ["--confusion", "c.csv"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
 
     def test_calibrate_command(self, capsys):
         rc = cli.main(["calibrate-oracle", "--target", "0.25",

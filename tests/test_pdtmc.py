@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +39,6 @@ class TestParser:
         m = reference_model()
         assert parse_model(serialize_model(m)) == m
 
-    def test_shipped_model_matches_builder(self):
-        with open("models/collision.pdtmc") as fh:
-            assert parse_model(fh.read()) == reference_model()
-
     def test_undeclared_parameter(self):
         with pytest.raises(ModelSyntaxError, match="p99"):
             parse_model(SIMPLE.replace(": 1;", ": p99;", 1))
@@ -56,6 +54,30 @@ class TestParser:
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(ModelSyntaxError, match="line 2"):
             parse_model("state a;\ntrans a -> ;")
+
+    def test_reward_names_a_constant(self):
+        m = parse_model(SIMPLE + "reward s0 -> done : 2 * t_move + 1;", {"t_move": 10.0})
+        assert m.rewards == {("s0", "done"): 21.0}
+
+    @pytest.mark.parametrize("line,message", [
+        ("reward s0 -> done : t_move;", "unknown constant 't_move'"),
+        ("reward s0 -> done : nan;", "unknown constant 'nan'"),
+        ("reward s0 -> done : 1e300 * 1e300;", "not finite"),
+        ("reward s0 -> done : 1_0;", "unsupported"),
+        ("param q in [1,0];", "lo <= hi"),
+        ("param q in [nan,1];", "malformed param"),
+        ("param q in [0,1e400];", "finite"),
+        ("param q in [zero,1];", "malformed param"),
+    ])
+    def test_ill_posed_number_rejected_at_its_line(self, line, message):
+        # SIMPLE's last line is 9; the appended line is 10
+        with pytest.raises(ModelSyntaxError, match=f"line 10: .*{message}"):
+            parse_model(SIMPLE + line)
+
+    def test_negative_bounds_round_trip(self):
+        m = parse_model(SIMPLE.replace("[0,1]", "[-2.5, 1e-3]"))
+        assert (m.params["p"].lo, m.params["p"].hi) == (-2.5, 1e-3)
+        assert parse_model(serialize_model(m)) == m
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n" + SIMPLE + "# trailer\n"
@@ -77,7 +99,7 @@ ACCEPTED = [("p", 0.3), ("1 - p", 1 - 0.3), ("0.5 * (1 - q)", 0.5 * (1 - 0.6)),
             ("1e-3 * p", 1e-3 * 0.3), (".5", 0.5), ("1.", 1.0), ("((p))", 0.3),
             ("p - (q - r)", 0.3 - (0.6 - 0.2))]
 REJECTED = ["-p", "p / q", "p ** 2", "f(p)", "p.x", "'s'", "1j", "p q", "(p", "p)",
-            "2p", "p - - q", "1_000", "0x10", "", "p +"]
+            "2p", "p - - q", "1_000", "0x10", "1e400", "", "p +"]
 
 
 class TestGrammar:
@@ -176,5 +198,6 @@ class TestReferenceModel:
     def test_invalid_constants_rejected(self):
         with pytest.raises(ModelError):
             ModelConstants(p_collider=1.2)
-        with pytest.raises(ModelError):
-            ModelConstants(t_move=-1.0)
+        for times in ({"t_move": -1.0}, {"t_move": math.nan}, {"t_wait": math.inf}):
+            with pytest.raises(ModelError, match="finite and nonnegative"):
+                ModelConstants(**times)

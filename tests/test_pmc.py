@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from colavoid import pmc, synthesis, uq
-from colavoid.pdtmc import ModelError, instantiate
+from colavoid.pdtmc import ModelConstants, ModelError, instantiate, reference_model
 from conftest import chain_from_rows, ref_valuation
 
 BASE = {"p_collider": 0.8, "p_occ": 0.25}
@@ -294,21 +294,31 @@ def closed_form(p_collider, p_occ, p00, p11, c1, c2):
 unit = st.floats(0.0, 1.0)
 
 
+@pytest.fixture(scope="module")
+def timed_models():
+    """(t_move, t_wait, reference chain with those rewards): the default
+    timing and two others."""
+    return [(t_move, t_wait, reference_model(ModelConstants(t_move=t_move, t_wait=t_wait)))
+            for t_move, t_wait in ((10.0, 2.0), (3.5, 0.25), (1.0, 7.0))]
+
+
 class TestClosedFormOracle:
     """The reference chain has an exact closed form; the checker must meet it."""
 
     @given(p_collider=unit, p_occ=unit, p00=unit, p11=unit, c1=unit, c2=unit)
     @settings(max_examples=300, deadline=None)
-    def test_safety_and_time(self, ref_model, p_collider, p_occ, p00, p11, c1, c2):
+    def test_safety_and_time(self, timed_models, p_collider, p_occ, p00, p11, c1, c2):
         a, b = closed_form(p_collider, p_occ, p00, p11, c1, c2)
         # a near-zero round exit makes I - P numerically singular
         assume(a + b > 1e-6)
-        chain = instantiate(ref_model, {"p_collider": p_collider, "p_occ": p_occ,
+        for t_move, t_wait, model in timed_models:
+            chain = instantiate(model, {"p_collider": p_collider, "p_occ": p_occ,
                                         "p00": p00, "p11": p11, "c1": c1, "c2": c2})
-        safety = pmc.until_probability(chain, "collision", "done")
-        time = pmc.expected_reward_to_absorption(chain, {"done", "collision"})
-        assert safety == pytest.approx(a / (a + b), rel=1e-9, abs=1e-12)
-        assert time == pytest.approx(10 + 2 * (1 - a - b) / (a + b), rel=1e-9)
+            safety = pmc.until_probability(chain, "collision", "done")
+            time = pmc.expected_reward_to_absorption(chain, {"done", "collision"})
+            assert safety == pytest.approx(a / (a + b), rel=1e-9, abs=1e-12)
+            assert time == pytest.approx(t_move + t_wait * (1 - a - b) / (a + b),
+                                         rel=1e-9), (t_move, t_wait)
 
     def test_never_absorbing_when_a_plus_b_is_zero(self, ref_model):
         chain = instantiate(ref_model, {"p_collider": 1.0, "p_occ": 0.5, "p00": 0.9,
