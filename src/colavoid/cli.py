@@ -15,6 +15,7 @@ from dataclasses import replace
 from . import pmc, simenv, synthesis, uq
 from .harness import (ENVIRONMENTS, METHODS, ExperimentConfig, default_specs,
                       format_table, run_comparison, run_experiment, summarize)
+from .monitor import MonitorConfig
 from .pdtmc import ModelConstants, ModelError, instantiate, parse_model, reference_model
 from .synthesis import ParamSpace
 
@@ -143,8 +144,8 @@ def build_parser():
     p.add_argument("--model", help=model_help)
     p.add_argument("--confusion", required=True)
     p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--time-bound", type=float, default=15.0)
-    p.add_argument("--safety-bound", type=float, default=0.9)
+    p.add_argument("--time-bound", type=float, default=MonitorConfig.time_bound)
+    p.add_argument("--safety-bound", type=float, default=MonitorConfig.safety_bound)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synthesize, input_errors=INPUT_ERRORS)
 

@@ -3,10 +3,12 @@
 A run trains the shared initial classifier/controller pair from the
 pre-collected neighborhood datasets, replays a benchmark trace (a shared
 file, or drawn from the seed as the run reaches it) through a
-`DualRuntime`, and persists metrics, per-period series, the monitor
-trace, a JSON metadata record and, for the adaptive method, the event
-log.  The baselines serve a fixed predictor through a runtime that is
-never signalled.  `run_comparison` runs all three methods on one trace.
+`DualRuntime` under a `Monitor`, and keeps only that loop.  It writes
+metrics.csv (the monitor's totals and the runtime's repair counts) and
+metadata.json; the monitor writes its step, period and trace CSVs and, for
+the adaptive method, the runtime its event log.  The baselines serve a
+fixed predictor through a runtime that is never signalled.
+`run_comparison` runs all three methods on one trace.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import perception, pmc, simenv, synthesis, uq
+from . import perception, pmc, simenv
 from .monitor import Monitor, MonitorConfig
 from .pdtmc import ModelConstants, reference_model
 from .perception import MLPPredictor, RandomGuessPredictor, TrainConfig
@@ -59,6 +62,8 @@ class ExperimentConfig:
     trace_path: str = None              # shared benchmark trace (CSV)
 
     def __post_init__(self):
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise HarnessError(f"steps must be a positive integer, got {self.steps!r}")
         if self.method not in METHODS:
             raise HarnessError(f"unknown method {self.method!r}")
         if self.environment not in ENVIRONMENTS:
@@ -94,7 +99,7 @@ class ExperimentConfig:
 class Metrics:
     accuracy: float
     safety_rate: float
-    mean_step_time: float        # completed moves only (RunningStats.mean_done_time)
+    mean_step_time: float        # every attempted move (RunningStats.mean_time)
     queries: int
     attempts: int
     collisions: int
@@ -102,7 +107,6 @@ class Metrics:
     repairs_signalled: int
     repairs_accepted: int
     unserved: int
-    series: list                 # (period, accuracy, safety, mean_time)
 
 
 def derive_seeds(seed):
@@ -113,7 +117,8 @@ def derive_seeds(seed):
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
-def default_specs(safety_bound=0.9, time_bound=15.0):
+def default_specs(safety_bound=MonitorConfig.safety_bound,
+                  time_bound=MonitorConfig.time_bound):
     """The (state specs, reward specs) pair every synthesis checks:
     P[!collision U done] >= safety_bound and R[F done|collision] <= time_bound."""
     state = (pmc.StateSpec(avoid="collision", target="done", bound=safety_bound),)
@@ -122,25 +127,24 @@ def default_specs(safety_bound=0.9, time_bound=15.0):
 
 
 def initial_system(cfg, seeds):
-    """Shared starting point of every method: datasets, phi_0, kappa_0."""
+    """Shared starting point of every method: datasets, phi_0, kappa_0, and
+    the run's one RepairConfig, whose specs are the monitor's bounds."""
     datasets = simenv.gen_initial_datasets(
         cfg.c0, cfg.eps0, cfg.dataset_sizes, seeds["data"], oracle=cfg.oracle)
-    train_set, val_set, confusion_set, test_set = datasets
+    train_set, val_set, confusion_set, _ = datasets
     tc = replace(cfg.train_config, seed=seeds["train"])
     phi0 = perception.train(seeds["train"], train_set, val_set, tc)
-    matrix = uq.evaluate_confusion(MLPPredictor(phi0), confusion_set)
-    u0 = uq.quantify(matrix)
-    model = reference_model(cfg.constants)
-    state_specs, reward_specs = default_specs()
-    kappa0, qr, feasible = synthesis.synthesize(
-        u0, model, cfg.param_space, state_specs, reward_specs,
+    state_specs, reward_specs = default_specs(cfg.monitor.safety_bound,
+                                              cfg.monitor.time_bound)
+    repair_cfg = RepairConfig(
+        train_config=tc, test_gate=cfg.monitor.threshold_2,
+        param_space=cfg.param_space, model=reference_model(cfg.constants),
+        state_specs=state_specs, reward_specs=reward_specs,
         base_valuation=cfg.constants.valuation())
-    role_map = {"train": train_set, "val": val_set,
-                "confusion": confusion_set, "test": test_set}
+    u0, kappa0, _, feasible = repair_cfg.assess(phi0, confusion_set)
     return {
-        "datasets": role_map, "phi0": phi0, "u0": u0, "kappa0": kappa0,
-        "qr": qr, "feasible": feasible, "model": model,
-        "state_specs": state_specs, "reward_specs": reward_specs, "tc": tc,
+        "datasets": dict(zip(perception.CE_ROLES, datasets)), "phi0": phi0,
+        "u0": u0, "kappa0": kappa0, "feasible": feasible, "repair_cfg": repair_cfg,
     }
 
 
@@ -180,56 +184,38 @@ def run_experiment(cfg):
 
     predictor = (RandomGuessPredictor(seeds["random_pred"]) if cfg.method == "random"
                  else MLPPredictor(init["phi0"]))
-    repair_cfg = RepairConfig(
-        sample_sizes=dict(zip(perception.CE_ROLES, cfg.dataset_sizes)),
-        train_config=init["tc"], test_gate=cfg.monitor.threshold_2,
-        param_space=cfg.param_space, model=init["model"],
-        state_specs=init["state_specs"], reward_specs=init["reward_specs"],
-        base_valuation=cfg.constants.valuation())
     rt = DualRuntime(SystemState(init["phi0"], init["kappa0"], 0), predictor,
-                     init["datasets"], repair_cfg)
+                     init["datasets"], init["repair_cfg"])
 
     world = World(trace, t_move=cfg.constants.t_move, t_wait=cfg.constants.t_wait)
     monitor = Monitor(cfg.monitor)
     rng_action = np.random.default_rng(seeds["action"])
 
-    series = []
-    repairs_signalled = repairs_accepted = 0
-    step_rows = []
-
     while monitor.queries < cfg.steps:
         rec = world.step(rt, rng_action)
         monitor.observe(rec)
         monitor.log_trace_row(rec)
-        step = monitor.queries
-        step_rows.append([step, rec.outcome, rec.elapsed, rec.waits, rec.queries])
 
         # first step boundary at/after each monitoring-period boundary
         if monitor.at_period_boundary():
             decision = monitor.evaluate()
-            series.append([len(series), decision.period_accuracy, decision.safety_rate,
-                           decision.mean_time])
-            if cfg.method == "sa" and decision.repair and not decision.skipped:
+            if cfg.method == "sa" and decision.repair:
                 ce = monitor.drain_counterexamples(world.trace)
                 if len(ce):
-                    repairs_signalled += 1
-                    rt.signal_repair(ce, decision.reasons, step)
-                    accepted = rt.finish_repair(step)
-                    repairs_accepted += 1 if accepted else 0
+                    rt.signal_repair(ce, decision.reasons, monitor.queries)
+                    rt.finish_repair(monitor.queries)
             else:
                 monitor.reset_period()
 
     total = monitor.total
     metrics = Metrics(
-        accuracy=monitor.correct / monitor.queries if monitor.queries else float("nan"),
-        safety_rate=total.safety_rate, mean_step_time=total.mean_done_time,
+        accuracy=monitor.correct / monitor.queries,
+        safety_rate=total.safety_rate, mean_step_time=total.mean_time,
         queries=monitor.queries, attempts=total.attempts, collisions=total.collisions,
-        completed=total.completed, repairs_signalled=repairs_signalled,
-        repairs_accepted=repairs_accepted,
-        unserved=rt.unserved,
-        series=series)
+        completed=total.completed, repairs_signalled=rt.repairs_signalled,
+        repairs_accepted=rt.repairs_accepted, unserved=rt.unserved)
 
-    _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows)
+    _write_outputs(cfg, seeds, init, world, monitor, rt, metrics)
     return metrics
 
 
@@ -244,17 +230,13 @@ def run_comparison(base_cfg):
 
 
 def _config_hash(cfg):
-    payload = json.dumps({
-        "method": cfg.method, "environment": cfg.environment, "steps": cfg.steps,
-        "seed": cfg.seed, "dataset_sizes": list(cfg.dataset_sizes),
-        "c0": list(cfg.c0.as_tuple()), "eps0": cfg.eps0,
-        "monitor": asdict(cfg.monitor), "constants": asdict(cfg.constants),
-        "oracle": asdict(cfg.oracle),
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Digest of every config field except where the run reads and writes."""
+    payload = asdict(cfg)
+    del payload["out_dir"], payload["trace_path"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows):
+def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics):
     out = cfg.out_dir
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -263,15 +245,7 @@ def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics, step_rows):
                     "attempts", "collisions", "completed", "repairs_signalled",
                     "repairs_accepted", "unserved"):
             writer.writerow([key, getattr(metrics, key)])
-    with open(os.path.join(out, "periods.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "accuracy", "safety_rate", "mean_time"])
-        writer.writerows(metrics.series)
-    with open(os.path.join(out, "steps.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "outcome", "elapsed", "waits", "queries"])
-        writer.writerows(step_rows)
-    monitor.write_trace(os.path.join(out, "monitor_trace.csv"))
+    monitor.write_csvs(out)
     if cfg.method == "sa":
         rt.write_event_log(os.path.join(out, "events.csv"))
     meta = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,15 +55,12 @@ class RunningStats:
     attempts: int = 0
     collisions: int = 0
     total_time: float = 0.0          # over every attempted move
-    done_time: float = 0.0           # over the completed moves only
 
     def record(self, collided, elapsed):
         self.attempts += 1
         self.total_time += elapsed
         if collided:
             self.collisions += 1
-        else:
-            self.done_time += elapsed
 
     @property
     def completed(self):
@@ -77,15 +75,11 @@ class RunningStats:
     @property
     def mean_time(self):
         """Mean time over every attempted move, collisions included, as the
-        model's R[F done|collision] counts it."""
+        model's R[F done|collision] counts it; the one mean step time of the
+        monitor's time clause, periods.csv and metrics.csv."""
         if self.attempts == 0:
             return 0.0
         return self.total_time / self.attempts
-
-    @property
-    def mean_done_time(self):
-        """Mean time over the completed moves (metrics.csv mean_step_time)."""
-        return self.done_time / self.completed if self.completed else float("nan")
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ class RepairDecision:
 
 class Monitor:
     """Owns the query count, the period boundaries, the window, the period
-    counts and stats, the run's totals and the exported trace."""
+    counts and stats, the run's totals and the rows of its three CSVs."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -113,7 +107,9 @@ class Monitor:
         self.total = RunningStats()    # the run's outcomes
         self.queries = 0
         self.correct = 0               # the run's correct predictions
-        self._trace = []               # rows for the exported trace CSV
+        self.steps = []                # steps.csv rows, one per observed step
+        self.periods = []              # periods.csv rows, one per finished period
+        self._trace = []               # monitor_trace.csv rows
         self._next_boundary = cfg.t_monitor
 
     def observe(self, rec):
@@ -146,10 +142,14 @@ class Monitor:
             raise MonitorError("accuracy over an empty window is undefined")
         return self.window_correct / len(self.window)
 
+    def period_accuracy(self):
+        """Accuracy over the period's queries (nan if none)."""
+        n = sum(self.counts)
+        return (self.counts[0] + self.counts[3]) / n if n else float("nan")
+
     def evaluate(self):
         """Period-boundary repair decision per the threshold clauses."""
-        n = sum(self.counts)
-        period_acc = (self.counts[0] + self.counts[3]) / n if n else float("nan")
+        period_acc = self.period_accuracy()
         stats = self.stats
         if len(self.window) < self.cfg.d_window:
             return RepairDecision(False, frozenset(), float("nan"), period_acc,
@@ -186,6 +186,9 @@ class Monitor:
         self._advance_period()
 
     def _advance_period(self):
+        """Close the period as a periods.csv row and start the next one."""
+        self.periods.append([len(self.periods), self.period_accuracy(),
+                             self.stats.safety_rate, self.stats.mean_time])
         self.counts = [0, 0, 0, 0]
         self.wrong_rows = []
         self.stats = RunningStats()
@@ -193,17 +196,24 @@ class Monitor:
             self._next_boundary += self.cfg.t_monitor
 
     def log_trace_row(self, rec):
-        """The monitor_trace.csv row of the step just observed: the query
-        count, the step's last prediction and truth, and the window and
-        period figures; its repair flag is set by drain_counterexamples."""
+        """The steps.csv and monitor_trace.csv rows of the step just observed;
+        both start with the query count.  The trace row holds the step's last
+        prediction and truth and the window and period figures; its repair
+        flag is set by drain_counterexamples."""
+        self.steps.append([self.queries, rec.outcome, rec.elapsed, rec.waits, rec.queries])
         _, prediction, truth = rec.observations[-1] if rec.observations else ("", "", "")
         acc = self.window_accuracy() if self.window else ""
         self._trace.append([self.queries, prediction, truth, acc,
                             self.stats.safety_rate, self.stats.mean_time, 0])
 
-    def write_trace(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "prediction", "truth", "window_accuracy",
-                            "period_safety", "period_mean_time", "repair"])
-            writer.writerows(self._trace)
+    def write_csvs(self, out_dir):
+        """Write steps.csv, periods.csv and monitor_trace.csv into out_dir."""
+        for name, header, rows in (
+                ("steps.csv", "step,outcome,elapsed,waits,queries", self.steps),
+                ("periods.csv", "period,accuracy,safety_rate,mean_time", self.periods),
+                ("monitor_trace.csv", "step,prediction,truth,window_accuracy,"
+                 "period_safety,period_mean_time,repair", self._trace)):
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header.split(","))
+                writer.writerows(rows)

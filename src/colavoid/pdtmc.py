@@ -243,7 +243,7 @@ _LINE_RES = {
 def parse_model(text, constants=None):
     """Parse the line-oriented model format into a PDTMC.  A reward is an
     expression over the names of `constants` (name -> value), evaluated here;
-    rewards and parameter bounds must be finite."""
+    rewards must be finite and nonnegative, parameter bounds finite."""
     constants = constants or {}
     states = {}
     initial = None
@@ -301,6 +301,8 @@ def parse_model(text, constants=None):
             value = float(expr.evaluate(constants))
             if not math.isfinite(value):
                 raise ModelSyntaxError(f"reward {src}->{dst} is not finite: {value}", line_no)
+            if value < 0:
+                raise ModelSyntaxError(f"reward {src}->{dst} is negative: {value}", line_no)
             rewards[(src, dst)] = value
     if initial is None:
         raise ModelError("model declares no initial state")

@@ -238,6 +238,8 @@ class RandomGuessPredictor:
 # --- Dataset bookkeeping for the repair round ---
 
 CE_ROLES = ("train", "val", "confusion", "test")
+#: Shares of a repair's counterexamples that go to each of CE_ROLES.
+CE_RATIOS = (0.4, 0.2, 0.2, 0.2)
 
 
 def split_counterexamples(ce, ratios, seed=0):

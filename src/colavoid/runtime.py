@@ -1,14 +1,16 @@
 """Dual-component runtime: one component serves while its twin is repaired.
 
 This is the one runtime of every method.  The two components are two
-slots of `SystemState`s, named "A" and "B"; `active` is the index of the
-one that serves predictions.  A repair signal runs the repair pipeline in
-line and holds its (accepted, state) result as pending; `finish_repair`
-installs that result at a later step boundary, and on accept the repaired
-slot becomes the active one.  Until then the old component keeps serving
-and further signals are suppressed.  The baselines are never signalled,
-so they serve the predictor they were built with throughout.  The world
-calls the serving `predictor` in batches (simenv.World); a swap replaces it.
+slots, named "A" and "B"; `active` is the index of the one that serves
+predictions and `state` its `SystemState`.  A repair signal runs the repair
+pipeline in line and holds its (accepted, state) result as pending;
+`finish_repair` installs that result at a later step boundary, and on
+accept the repaired slot becomes the active one.  Until then the old
+component keeps serving and further signals are suppressed.  The runtime
+counts the signals it runs and the repairs it installs.  The baselines are
+never signalled, so they serve the predictor they were built with
+throughout.  The world calls the serving `predictor` in batches
+(simenv.World); a swap replaces it.
 
 Repair completion is a step, not a wall-clock event, so a fixed seed
 gives the same results however long a repair takes.
@@ -37,11 +39,8 @@ class SystemState:
 
 @dataclass
 class RepairConfig:
-    """Everything the three-phase repair pipeline needs."""
+    """The run's synthesis problem and the repair's training and test gate."""
 
-    ce_ratios: tuple = (0.4, 0.2, 0.2, 0.2)
-    sample_sizes: dict = field(default_factory=lambda: {
-        "train": 4000, "val": 1000, "confusion": 1000, "test": 1000})
     train_config: TrainConfig = field(default_factory=TrainConfig)
     test_gate: float = 0.8             # threshold_2
     param_space: object = None         # synthesis.ParamSpace
@@ -50,18 +49,31 @@ class RepairConfig:
     reward_specs: tuple = ()
     base_valuation: dict = field(default_factory=dict)
 
+    def assess(self, phi, confusion_set):
+        """Quantify perception parameters `phi` on `confusion_set` and
+        synthesize a controller for the rates: (u, kappa, qr, feasible)."""
+        u = uq.quantify(uq.evaluate_confusion(MLPPredictor(phi), confusion_set))
+        kappa, qr, feasible = synthesis.synthesize(
+            u, self.model, self.param_space, self.state_specs, self.reward_specs,
+            base_valuation=self.base_valuation)
+        return u, kappa, qr, feasible
+
 
 class DualRuntime:
-    """Two state slots, the active index and at most one pending repair."""
+    """The serving state, the active slot's index, at most one pending
+    repair and the counts of repair signals and swaps."""
 
     def __init__(self, initial_state, predictor, datasets, repair_cfg):
-        self.states = [initial_state, initial_state]
+        self.state = initial_state       # the active slot's SystemState
         self.active = 0
         self.pending = None              # (accepted, state) not yet installed
         self.datasets = dict(datasets)   # role -> master Dataset (grows over repairs)
-        self.working = dict(datasets)    # role -> current working Dataset
+        # a repair resamples each grown master to its initial size
+        self.sizes = {role: len(d) for role, d in datasets.items()}
         self.cfg = repair_cfg
         self.events = []                 # (step, active, version, event, detail)
+        self.repairs_signalled = 0       # signals that ran a repair
+        self.repairs_accepted = 0        # accepted repairs installed (swaps)
         self.unserved = 0
         self._repair_seed = 0
         # the serving pair: the active slot's kappa, read on every query, and
@@ -70,10 +82,6 @@ class DualRuntime:
         self.kappa = initial_state.kappa
 
     # -- prediction side ---------------------------------------------------
-
-    @property
-    def state(self):
-        return self.states[self.active]
 
     def move_probability(self, prediction):
         return self.kappa[0] if prediction == 0 else self.kappa[1]
@@ -88,6 +96,7 @@ class DualRuntime:
             self._log(step, "signal_suppressed", detail)
             return False
         self._log(step, "signal", detail)
+        self.repairs_signalled += 1
         self.pending = self.run_repair(ce, step)
         return True
 
@@ -98,14 +107,14 @@ class DualRuntime:
         self._repair_seed += 1
         seed = cfg.train_config.seed + 1000 * self._repair_seed
         try:
-            parts = perception.split_counterexamples(ce, cfg.ce_ratios, seed=seed)
+            parts = perception.split_counterexamples(ce, perception.CE_RATIOS, seed=seed)
             for part in parts:
                 self.datasets[part.role] = perception.merge_datasets(
                     self.datasets[part.role], part)
             working = {
                 role: perception.sample_dataset(self.datasets[role],
-                                                cfg.sample_sizes[role], seed + i)
-                for i, role in enumerate(("train", "val", "confusion", "test"))
+                                                self.sizes[role], seed + i)
+                for i, role in enumerate(perception.CE_ROLES)
             }
             tc = replace(cfg.train_config, seed=seed)
             phi = perception.train(seed, working["train"], working["val"], tc)
@@ -113,12 +122,7 @@ class DualRuntime:
             if test_acc < cfg.test_gate:
                 self._log(step, "reject", f"test_accuracy={test_acc:.4f}")
                 return (False, None)
-            matrix = uq.evaluate_confusion(MLPPredictor(phi), working["confusion"])
-            u = uq.quantify(matrix)
-            kappa, _, feasible = synthesis.synthesize(
-                u, cfg.model, cfg.param_space, cfg.state_specs, cfg.reward_specs,
-                base_valuation=cfg.base_valuation)
-            self.working = working
+            _, kappa, _, feasible = cfg.assess(phi, working["confusion"])
             self._log(step, "accept",
                       f"test_accuracy={test_acc:.4f};kappa={kappa};feasible={feasible}")
             return (True, SystemState(phi, kappa, self.state.version + 1))
@@ -135,7 +139,8 @@ class DualRuntime:
         (accepted, new_state), self.pending = self.pending, None
         if accepted:
             old, self.active = self.active, 1 - self.active
-            self.states[self.active] = new_state
+            self.state = new_state
+            self.repairs_accepted += 1
             self.predictor = MLPPredictor(new_state.phi)
             self.kappa = new_state.kappa
             self._log(step, "swap", f"{NAMES[old]}->{NAMES[self.active]}")

@@ -194,7 +194,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         assert parse_model(serialize_model(ref)) == ref
 
 
-def test_criterion_9_dataset_accounting(ref_model):
+def test_criterion_9_dataset_accounting(ref_model, monkeypatch):
     with report(9, "one repair round yields working sets of 4000/1000/1000/1000 "
                    "built from disjoint counterexample parts"):
         oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
@@ -224,15 +224,34 @@ def test_criterion_9_dataset_accounting(ref_model):
             return list(zip(map(tuple, ds.X.tolist()), ds.y.tolist()))
 
         # the split is a disjoint partition across the four roles
-        parts = perception.split_counterexamples(ce, cfg.ce_ratios, seed=1)
+        parts = perception.split_counterexamples(ce, perception.CE_RATIOS, seed=1)
         seen = [xy for p in parts for xy in pairs(p)]
         assert len(seen) == len(ce)
         assert sorted(seen) == sorted(pairs(ce))
-        # the repair round resamples the merged masters to the exact sizes
+        # the repair round resamples the merged masters to the exact sizes:
+        # record the size of each working set where the repair consumes it
+        working = {}
+        train, accuracy = runtime.perception.train, runtime.uq.accuracy
+        confusion = runtime.uq.evaluate_confusion
+
+        def spy_train(seed, train_set, val_set, tc):
+            working.update(train=len(train_set), val=len(val_set))
+            return train(seed, train_set, val_set, tc)
+
+        def spy_accuracy(predictor, test_set):
+            working["test"] = len(test_set)
+            return accuracy(predictor, test_set)
+
+        def spy_confusion(predictor, confusion_set):
+            working["confusion"] = len(confusion_set)
+            return confusion(predictor, confusion_set)
+
+        monkeypatch.setattr(runtime.perception, "train", spy_train)
+        monkeypatch.setattr(runtime.uq, "accuracy", spy_accuracy)
+        monkeypatch.setattr(runtime.uq, "evaluate_confusion", spy_confusion)
         accepted, new_state = rt.run_repair(ce, step=0)
         assert accepted
-        assert {r: len(d) for r, d in rt.working.items()} == {
-            "train": 4000, "val": 1000, "confusion": 1000, "test": 1000}
+        assert working == {"train": 4000, "val": 1000, "confusion": 1000, "test": 1000}
         assert {r: len(d) for r, d in rt.datasets.items()} == {
             "train": 4000 + len(parts[0]), "val": 1000 + len(parts[1]),
             "confusion": 1000 + len(parts[2]), "test": 1000 + len(parts[3])}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -65,6 +66,30 @@ class TestConfig:
         cfg = small_config(tmp_path, tmp_path / "t.csv", method="no", steps=100)
         assert cfg.steps == 100
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, "100"])
+    def test_steps_must_be_a_positive_integer(self, tmp_path, steps):
+        # rejected when the config is built, before any training
+        with pytest.raises(harness.HarnessError, match="steps must be a positive integer"):
+            small_config(tmp_path, tmp_path / "t.csv", method="no", steps=steps)
+
+    @pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
+    def test_from_json_rejects_bad_steps(self, tmp_path, steps):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"method": "no", "steps": %s}' % steps)
+        with pytest.raises(harness.HarnessError, match="steps must be a positive integer"):
+            harness.ExperimentConfig.from_json(path)
+
+    def test_config_hash_covers_training_and_grid(self, tmp_path):
+        cfg = small_config(tmp_path, tmp_path / "t.csv")
+        base = harness._config_hash(cfg)
+        assert harness._config_hash(replace(cfg, out_dir="elsewhere",
+                                            trace_path=None)) == base
+        changed = [replace(cfg, train_config=TrainConfig(epochs=16)),
+                   replace(cfg, param_space=ParamSpace(counts=(6, 7))),
+                   replace(cfg, monitor=MonitorConfig(t_monitor=1250, d_window=999))]
+        hashes = {harness._config_hash(c) for c in changed}
+        assert len(hashes) == len(changed) and base not in hashes
+
     def test_from_json(self, tmp_path):
         payload = {"method": "no", "environment": "rw", "steps": 2000, "seed": 3,
                    "dataset_sizes": [100, 50, 50, 50], "eps0": 0.2,
@@ -104,6 +129,23 @@ class TestConfig:
 
 
 class TestInitialSystem:
+    def test_specs_are_the_monitor_bounds(self):
+        cfg = harness.ExperimentConfig(
+            method="no", steps=10, dataset_sizes=(60, 20, 20, 20),
+            monitor=MonitorConfig(safety_bound=0.95, time_bound=20.0),
+            param_space=ParamSpace(counts=(3, 3)), train_config=TrainConfig(epochs=1))
+        repair_cfg = harness.initial_system(cfg, harness.derive_seeds(0))["repair_cfg"]
+        assert [s.bound for s in repair_cfg.state_specs] == [0.95]
+        assert [s.bound for s in repair_cfg.reward_specs] == [20.0]
+        assert repair_cfg.test_gate == cfg.monitor.threshold_2
+
+    def test_default_bounds_are_the_monitor_defaults(self):
+        (state,), (reward,) = harness.default_specs()
+        defaults = MonitorConfig()
+        assert (state.bound, reward.bound) == (defaults.safety_bound, defaults.time_bound)
+        args = cli.build_parser().parse_args(["synthesize", "--confusion", "c.csv"])
+        assert (args.safety_bound, args.time_bound) == (state.bound, reward.bound)
+
     def test_initial_controller_lies_on_grid(self, runs):
         _, out = runs
         cfg, _ = out["sa"]
@@ -171,10 +213,29 @@ class TestRunArtifacts:
                       newline="") as fh:
                 assert all(r["repair"] == "0" for r in csv.DictReader(fh))
 
-    def test_period_series_length(self, runs):
+    def test_metrics_agree_with_the_logs(self, runs):
+        """metrics.csv's repair counts, mean step time and periods.csv's length
+        re-derived from events.csv and steps.csv."""
+        def rows(cfg, name):
+            with open(os.path.join(cfg.out_dir, name), newline="") as fh:
+                return list(csv.DictReader(fh))
+
         _, out = runs
-        cfg, metrics = out["sa"]
-        assert len(metrics.series) == cfg.steps // cfg.monitor.t_monitor
+        for method, (cfg, _) in out.items():
+            metrics = {r["metric"]: r["value"] for r in rows(cfg, "metrics.csv")}
+            events = rows(cfg, "events.csv") if method == "sa" else []
+            steps = rows(cfg, "steps.csv")
+            assert int(metrics["repairs_signalled"]) == sum(
+                e["event"] == "signal" for e in events), method
+            assert int(metrics["repairs_accepted"]) == sum(
+                e["event"] == "swap" for e in events), method
+            elapsed = [float(r["elapsed"]) for r in steps]
+            assert float(metrics["mean_step_time"]) == pytest.approx(
+                sum(elapsed) / len(elapsed), rel=1e-12), method
+            # a step that crosses a multiple of t_monitor ends a period
+            queries, t = [0] + [int(r["step"]) for r in steps], cfg.monitor.t_monitor
+            boundaries = sum(b // t > a // t for a, b in zip(queries, queries[1:]))
+            assert len(rows(cfg, "periods.csv")) == boundaries >= 1, method
 
 
 class TestDeterminism:
@@ -191,9 +252,10 @@ class TestDeterminism:
 
     #: sha256 of the artifacts of the acceptance criterion-8 run; a change
     #: that alters any output byte of a fixed-seed run must update these and
-    #: say why.
+    #: say why.  metrics.csv's mean_step_time is the mean over every attempted
+    #: move, collisions included (12.179908076165463 here).
     GOLDEN = {
-        "metrics.csv": "b5371a1e1ceb9bd39355337decfd2e63d2d266304f057fa5ce8c19bae3aec9ef",
+        "metrics.csv": "82e041665666fbb20521ba0499dbbd648a4dbc91cb0f318b25fbfaea3468364e",
         "periods.csv": "2043f0eca81227330de41e173b2e46b9cd4cbb5e0f440865ea5bbba4b5ca1609",
         "steps.csv": "8a10f55e4ac4912cdb6782f77867fde75b84f51328525b129467eb2fa4c43b6c",
         "monitor_trace.csv": "8ac33e163127f16c46c5e7f47ae6cdd17a471e060ef15b5fe5342178c09c4420",
@@ -220,7 +282,7 @@ class TestDeterminism:
     #: The same digests for a file-backed "no" run on a random-walk trace;
     #: trace.csv is the written trace file.  A baseline writes no events.csv.
     GOLDEN_NO_RW = {
-        "metrics.csv": "954d38fe7a3a88de256d28a235f0a6297f53dcdc2db4fb015ec40d9e670cbdac",
+        "metrics.csv": "5b934f640c41dcc190c2af77da578d6983178ba78568531509820075da6b8bda",
         "periods.csv": "a3057b0b3256c41a8f8d87a6829d3299b526ba96bea9cbb776f57be0ed86f915",
         "steps.csv": "f024f58018b360f01796bef78ce759c2823cd1b6b783be72ce4bfbe0579391b2",
         "monitor_trace.csv": "95c9380da4687435527a2afb3d436fb7ecfc2c9d4a3ec97a4d053dedbf0a3745",
@@ -451,13 +513,13 @@ class TestCli:
             cli.main(["simulate", "--config", self.small_config_file(tmp_path),
                       "--method", "sa", "--steps", "10"])
 
-    def test_simulate_zero_steps_is_a_budget(self, capsys, tmp_path):
-        rc = cli.main(["simulate", "--config", self.small_config_file(tmp_path),
-                       "--steps", "0"])
-        assert rc == 0
-        metrics = dict(line.split(",") for line in
-                       (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:])
-        assert metrics["queries"] == "0"
+    def test_simulate_rejects_zero_steps(self, tmp_path):
+        # --steps 0 is an empty budget, not the 15000 default, and it is
+        # rejected before any training
+        with pytest.raises(harness.HarnessError, match="positive integer, got 0"):
+            cli.main(["simulate", "--config", self.small_config_file(tmp_path),
+                      "--steps", "0"])
+        assert not (tmp_path / "out").exists()
 
     def test_compare_command(self, capsys, tmp_path):
         # "sa" needs a monitoring period within the budget

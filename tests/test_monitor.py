@@ -103,17 +103,16 @@ class TestRunningStats:
         s.record(False, 14.0)
         assert s.mean_time == 12.0
 
-    def test_mean_done_time_counts_completed_moves_only(self):
+    def test_mean_time_counts_collisions(self):
         s = mon.RunningStats()
         s.record(False, 10.0)
         s.record(True, 20.0)
         s.record(False, 14.0)
-        assert (s.completed, s.mean_done_time, s.mean_time) == (2, 12.0, 44.0 / 3)
+        assert (s.completed, s.mean_time) == (2, 44.0 / 3)
 
     def test_empty_defaults(self):
         s = mon.RunningStats()
         assert s.safety_rate == 1.0 and s.mean_time == 0.0
-        assert math.isnan(s.mean_done_time)
 
 
 class TestRunTotals:
@@ -125,7 +124,7 @@ class TestRunTotals:
         m.observe(record(elapsed=10.0))
         assert (m.queries, m.correct) == (3, 2)
         assert (m.total.attempts, m.total.collisions, m.total.completed) == (3, 1, 2)
-        assert m.total.mean_done_time == 10.0
+        assert m.total.mean_time == 32.0 / 3
         assert m.stats.attempts == 2          # the period's outcomes only
 
 
@@ -293,11 +292,30 @@ class TestTraceExport:
             rec = record([(1, 1)], i)
             m.observe(rec)
             m.log_trace_row(rec)
-        path = tmp_path / "trace.csv"
-        m.write_trace(path)
-        lines = path.read_text().strip().splitlines()
+        m.write_csvs(tmp_path)
+        lines = (tmp_path / "monitor_trace.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "step"
         assert len(lines) == 4
+        assert (tmp_path / "steps.csv").read_text().splitlines() == [
+            "step,outcome,elapsed,waits,queries",
+            "1,done,10.0,0,1", "2,done,10.0,0,1", "3,done,10.0,0,1"]
+        assert (tmp_path / "periods.csv").read_text().splitlines() == [
+            "period,accuracy,safety_rate,mean_time"]
+
+    def test_period_rows_are_the_boundary_decisions(self):
+        m = mon.Monitor(small_cfg(t_monitor=2, d_window=1))
+        decisions = []
+        for rec in (record([(1, 1)], elapsed=10.0),
+                    record([(0, 1)], 1, "collision", 20.0),
+                    record([(1, 1), (0, 0), (1, 0)], 2, elapsed=12.0)):
+            m.observe(rec)
+            m.log_trace_row(rec)
+            if m.at_period_boundary():
+                decisions.append(m.evaluate())
+                m.reset_period()
+        assert m.periods == [[i, d.period_accuracy, d.safety_rate, d.mean_time]
+                             for i, d in enumerate(decisions)]
+        assert m.periods == [[0, 0.5, 0.5, 15.0], [1, 2 / 3, 1.0, 12.0]]
 
     def test_row_is_the_steps_last_query(self):
         m = mon.Monitor(small_cfg())

@@ -64,6 +64,7 @@ class TestParser:
         ("reward s0 -> done : nan;", "unknown constant 'nan'"),
         ("reward s0 -> done : 1e300 * 1e300;", "not finite"),
         ("reward s0 -> done : 1_0;", "unsupported"),
+        ("reward s0 -> done : 0 - 1;", "negative"),
         ("param q in [1,0];", "lo <= hi"),
         ("param q in [nan,1];", "malformed param"),
         ("param q in [0,1e400];", "finite"),

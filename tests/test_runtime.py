@@ -18,9 +18,8 @@ def make_runtime(ref_model, test_gate=0.0, seed=0):
     datasets = dict(zip(("train", "val", "confusion", "test"),
                         simenv.gen_initial_datasets(
                             simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0),
-                            2.0, (200, 60, 60, 60), seed, oracle)))
+                            2.0, (150, 50, 60, 60), seed, oracle)))
     cfg = runtime.RepairConfig(
-        sample_sizes={"train": 150, "val": 50, "confusion": 60, "test": 60},
         train_config=pc.TrainConfig(epochs=3, seed=seed),
         test_gate=test_gate,
         param_space=synthesis.ParamSpace(counts=(3, 3)),
@@ -41,8 +40,8 @@ class TestComponents:
     def test_exactly_one_active(self, ref_model):
         rt = make_runtime(ref_model)
         assert active_name(rt) == "A"
-        assert rt.states[0] is rt.states[1] is rt.state
         assert rt.pending is None
+        assert (rt.repairs_signalled, rt.repairs_accepted) == (0, 0)
 
 
 class TestPrediction:
@@ -70,6 +69,7 @@ class TestRepairPipeline:
         assert rt.state.version == 1
         assert [e[3] for e in rt.events] == ["signal", "accept", "swap"]
         assert rt.events[-1] == (101, "B", 1, "swap", "A->B")
+        assert (rt.repairs_signalled, rt.repairs_accepted) == (1, 1)
 
     def test_masters_grow_by_counterexamples(self, ref_model):
         rt = make_runtime(ref_model, test_gate=0.0)
@@ -89,6 +89,7 @@ class TestRepairPipeline:
         assert active_name(rt) == "A"
         assert rt.state.version == 0
         assert any(e[3] == "reject" for e in rt.events)
+        assert (rt.repairs_signalled, rt.repairs_accepted) == (1, 0)
 
     def test_pipeline_error_is_reject(self, ref_model, monkeypatch):
         rt = make_runtime(ref_model, test_gate=0.0)
@@ -127,6 +128,7 @@ class TestRepairPipeline:
         # until the step-boundary collection
         assert not rt.signal_repair(make_ce(20, seed=6), {"time"}, step=2)
         assert any(e[3] == "signal_suppressed" for e in rt.events)
+        assert rt.repairs_signalled == 1
         rt.finish_repair(step=3)
         assert rt.signal_repair(make_ce(20, seed=7), {"time"}, step=4)
         rt.finish_repair(step=5)
@@ -158,11 +160,9 @@ class TestSwap:
         assert rt.signal_repair(make_ce(60, seed=11), {"accuracy"}, step=1)
         assert rt.finish_repair(step=1) is True
         assert active_name(rt) == "B" and rt.state.version == 1
-        first = rt.state
         assert rt.signal_repair(make_ce(60, seed=12), {"accuracy"}, step=2)
         assert rt.finish_repair(step=2) is True
         assert active_name(rt) == "A" and rt.state.version == 2
-        assert rt.states == [rt.state, first]
         swaps = [(e[0], e[1], e[2], e[4]) for e in rt.events if e[3] == "swap"]
         assert swaps == [(1, "B", 1, "A->B"), (2, "A", 2, "B->A")]
 
@@ -208,7 +208,8 @@ class TestSignalFinishSequences:
             assert rt.kappa is rt.state.kappa
             assert rt.state.version == accepted
             assert (rt.pending is None) == (pending is None)
-        assert sum(e[3] == "swap" for e in rt.events) == accepted
+        assert sum(e[3] == "swap" for e in rt.events) == accepted == rt.repairs_accepted
+        assert sum(e[3] == "signal" for e in rt.events) == rt.repairs_signalled
 
 
 class TestEventLog:
