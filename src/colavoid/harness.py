@@ -8,7 +8,7 @@ metrics.csv (the monitor's totals and the runtime's repair counts) and
 metadata.json; the monitor writes its step, period and trace CSVs and, for
 the adaptive method, the runtime its event log.  The baselines serve a
 fixed predictor through a runtime that is never signalled.
-`run_comparison` runs all three methods on one trace.
+`run_comparison` builds that set-up once and runs all three methods on it.
 """
 
 from __future__ import annotations
@@ -171,17 +171,22 @@ def load_or_generate_trace(cfg, seeds):
     trace = simenv.generate_trace(*source, oracle=cfg.oracle)
     os.makedirs(os.path.dirname(cfg.trace_path) or ".", exist_ok=True)
     simenv.write_trace(cfg.trace_path, trace)
+    trace.path = cfg.trace_path
     return trace
 
 
 def run_experiment(cfg):
     """Execute one method on one environment; returns Metrics and writes
     all run artifacts into cfg.out_dir."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     seeds = derive_seeds(cfg.seed)
-    init = initial_system(cfg, seeds)
-    trace = load_or_generate_trace(cfg, seeds)
+    return _run(cfg, seeds, initial_system(cfg, seeds), load_or_generate_trace(cfg, seeds))
 
+
+def _run(cfg, seeds, init, trace):
+    """The loop of cfg.method from the set-up (seeds, initial_system,
+    trace); returns Metrics and writes the run artifacts into cfg.out_dir.
+    It leaves `init` and `trace` as it found them, so methods can share them."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
     predictor = (RandomGuessPredictor(seeds["random_pred"]) if cfg.method == "random"
                  else MLPPredictor(init["phi0"]))
     rt = DualRuntime(SystemState(init["phi0"], init["kappa0"], 0), predictor,
@@ -220,12 +225,15 @@ def run_experiment(cfg):
 
 
 def run_comparison(base_cfg):
-    """Run every method in METHODS on one shared trace: each writes into
-    <base_cfg.out_dir>/<method>, and the trace is <base_cfg.out_dir>/trace.csv.
-    Returns {method: Metrics}."""
-    out, trace = base_cfg.out_dir, os.path.join(base_cfg.out_dir, "trace.csv")
-    return {m: run_experiment(replace(base_cfg, method=m, out_dir=os.path.join(out, m),
-                                      trace_path=trace))
+    """Run every method in METHODS from one set-up, built once: the seeds,
+    the initial system and the trace, <base_cfg.out_dir>/trace.csv.  Each
+    method writes into <base_cfg.out_dir>/<method>, the same bytes as
+    run_experiment on that trace file.  Returns {method: Metrics}."""
+    out = base_cfg.out_dir
+    cfg = replace(base_cfg, trace_path=os.path.join(out, "trace.csv"))
+    seeds = derive_seeds(cfg.seed)
+    init, trace = initial_system(cfg, seeds), load_or_generate_trace(cfg, seeds)
+    return {m: _run(replace(cfg, method=m, out_dir=os.path.join(out, m)), seeds, init, trace)
             for m in METHODS}
 
 
@@ -241,10 +249,7 @@ def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics):
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
-        for key in ("accuracy", "safety_rate", "mean_step_time", "queries",
-                    "attempts", "collisions", "completed", "repairs_signalled",
-                    "repairs_accepted", "unserved"):
-            writer.writerow([key, getattr(metrics, key)])
+        writer.writerows(asdict(metrics).items())
     monitor.write_csvs(out)
     if cfg.method == "sa":
         rt.write_event_log(os.path.join(out, "events.csv"))

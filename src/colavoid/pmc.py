@@ -1,12 +1,14 @@
 """Embedded probabilistic model checker for concrete DTMCs.
 
 Supports constrained reachability P[!avoid U target] and expected
-cumulated transition reward to an absorption set, both computed by graph
-precomputation followed by a dense linear solve.  Both also take a stack of
-chains: members are grouped by support pattern (P > 0), the precomputation
-runs once per pattern and its systems are solved as one stack.  A single
-chain is the stack of one, so a member gets the bits it gets alone.  A
-Monte-Carlo path sampler acts as an independent oracle for testing.
+cumulated transition reward to an absorption set, both computed by one
+graph precomputation (the prob0/prob1 states, which alone decide
+almost-sure reachability) followed by a dense linear solve.  Both also
+take a stack of chains: members are grouped by support pattern (P > 0),
+the precomputation runs once per pattern and its systems are solved as one
+stack.  A single chain is the stack of one, so a member gets the bits it
+gets alone.  A Monte-Carlo path sampler acts as an independent oracle for
+testing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .pdtmc import instantiate
 
-RESIDUAL_TOL = 1e-10
+#: largest normwise backward error a linear solve may leave, of order n * eps
+RESIDUAL_TOL = 1e-12
 PATH_STEP_CAP = 1_000_000
 #: candidates per stack in quantify_candidates; bounds the memory of a large grid
 STACK_SIZE = 128
@@ -135,28 +138,40 @@ def _groups(masks):
     return [(masks[ids[0]], np.array(ids)) for ids in members.values()]
 
 
-def _solve(A, b):
-    """Dense solve of A x = b, or of a stack of them, with a residual check.
-    After graph precomputation every system is nonsingular, so a singular
-    one or a large residual is an ill-posed query."""
+def _prob01(edge, is_avoid, is_target):
+    """Masks (prob0, prob1) of the states that satisfy !avoid U target with
+    probability 0 and 1, decided on the support matrix `edge` alone
+    (Baier and Katoen, Principles of Model Checking, 2008, section 10.1)."""
+    # prob-0: cannot reach target through non-avoid states
+    prob0 = ~_backward_reachable(edge, is_target, ~is_avoid) | is_avoid
+    prob0[is_target] = False
+    # prob-1: cannot stray into a prob-0 state before hitting target
+    prob1 = ~_backward_reachable(edge, prob0, ~is_target) & ~prob0
+    prob1[is_target] = True
+    return prob0, prob1
+
+
+def _solve(A, b, members=None):
+    """Dense solve of A x = b, or of a stack of them for the chain members
+    `members`, with a normwise backward-error check per member
+    (Rigal and Gaches, 1967; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 7.1).  After graph precomputation every system
+    is nonsingular, so a singular one or a large backward error is an
+    ill-posed query."""
     try:
         x = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise CheckError(f"singular system after precomputation ({exc})") from None
-    residual = np.max(np.abs((A @ x[..., None])[..., 0] - b))
-    if not residual <= RESIDUAL_TOL:
-        raise CheckError(f"linear solve residual {residual} exceeds {RESIDUAL_TOL}")
-    return x
-
-
-def _solve_reach(P, yes, unknown):
-    """Per matrix of the stack P: x = 1 on the mask `yes`, x = P x on the
-    mask `unknown`, 0 elsewhere."""
-    x = np.tile(yes.astype(float), (len(P), 1))
-    idx = np.flatnonzero(unknown)
-    if len(idx):
-        A = np.eye(len(idx)) - P[:, idx[:, None], idx]
-        x[:, idx] = _solve(A, P[:, idx[:, None], np.flatnonzero(yes)].sum(axis=2))
+    residual = np.atleast_1d(np.abs((A @ x[..., None])[..., 0] - b).max(axis=-1))
+    scale = (np.abs(A).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=-1)
+             + np.abs(b).max(axis=-1))
+    # an exact solve of x = 0, b = 0 has error 0; a nan residual stays nan
+    error = np.divide(residual, scale, out=np.zeros_like(residual), where=residual != 0)
+    bad = np.flatnonzero(~(error <= RESIDUAL_TOL))
+    if len(bad):
+        i = bad[0]
+        raise CheckError(f"member {i if members is None else members[i]}: linear solve "
+                         f"backward error {error[i]} exceeds {RESIDUAL_TOL}")
     return x
 
 
@@ -182,19 +197,22 @@ def until_probability(chain, avoid, target):
     P = _stack(chain)
     x = np.empty(len(P))
     for edge, members in _groups(P > 0.0):
-        # prob-0: cannot reach target through non-avoid states
-        prob0 = ~_backward_reachable(edge, is_target, ~is_avoid) | is_avoid
-        prob0[is_target] = False
-        # prob-1: cannot stray into a prob-0 state before hitting target
-        prob1 = ~_backward_reachable(edge, prob0, ~is_target) & ~prob0
-        prob1[is_target] = True
-        x[members] = _solve_reach(P[members], prob1, ~prob0 & ~prob1)[:, chain.initial]
+        prob0, prob1 = _prob01(edge, is_avoid, is_target)
+        # x = 1 on prob1, x = P x on the unknown states, 0 elsewhere
+        full = np.tile(prob1.astype(float), (len(members), 1))
+        unknown = np.flatnonzero(~prob0 & ~prob1)
+        if len(unknown):
+            full[:, unknown] = _solve(
+                np.eye(len(unknown)) - P[np.ix_(members, unknown, unknown)],
+                P[np.ix_(members, unknown, np.flatnonzero(prob1))].sum(axis=2), members)
+        x[members] = full[:, chain.initial]
     return _per_chain(chain, np.clip(x, 0.0, 1.0))
 
 
 def expected_reward_to_absorption(chain, targets):
     """Expected cumulated transition reward until first entering any
-    target-labelled state; math.inf when the set is not reached almost surely."""
+    target-labelled state; math.inf when the set is not reached almost
+    surely, which the support graph decides."""
     is_target = _label_mask(chain, targets)
     P = _stack(chain)
     n = P.shape[1]
@@ -202,20 +220,17 @@ def expected_reward_to_absorption(chain, targets):
     r = (P * chain.R).sum(axis=2)
     y = np.full(len(P), math.inf)
     for edge, members in _groups(P > 0.0):
-        # reachability probability of the target set from every state
-        reach = _backward_reachable(edge, is_target, np.ones(n, dtype=bool))
-        x = _solve_reach(P[members], is_target, ~is_target & reach)
-        sure = ~(x[:, chain.initial] < 1.0 - 1e-9)
-        # expected reward: y = r + P y over the states that reach the target
-        # set almost surely (y = 0 on targets), grouped by that set
-        rel_masks = ~is_target & (x[sure] > 1.0 - 1e-9)
-        for mask, sub in _groups(rel_masks):
-            ids, rel = members[sure][sub], np.flatnonzero(mask)
-            full = np.zeros((len(ids), n))
-            if len(rel):
-                full[:, rel] = _solve(np.eye(len(rel)) - P[np.ix_(ids, rel, rel)],
-                                      r[np.ix_(ids, rel)])
-            y[ids] = full[:, chain.initial]
+        _, sure = _prob01(edge, np.zeros(n, dtype=bool), is_target)
+        if not sure[chain.initial]:
+            continue
+        # y = r + P y over the states that reach the target set almost
+        # surely; their successors are targets or such states, and y = 0 on targets
+        full = np.zeros((len(members), n))
+        rel = np.flatnonzero(sure & ~is_target)
+        if len(rel):
+            full[:, rel] = _solve(np.eye(len(rel)) - P[np.ix_(members, rel, rel)],
+                                  r[np.ix_(members, rel)], members)
+        y[members] = full[:, chain.initial]
     return _per_chain(chain, y)
 
 

@@ -6,9 +6,10 @@ import re
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from colavoid import cli, harness, simenv
+from colavoid import cli, harness, perception, simenv
 from colavoid.monitor import MonitorConfig, MonitorError
 from colavoid.perception import PerceptionError, TrainConfig
 from colavoid.synthesis import ParamSpace
@@ -310,6 +311,57 @@ class TestDeterminism:
                            method="no", seed=9)
         m = harness.run_experiment(cfg)
         assert m.accuracy != out["no"][1].accuracy
+
+
+class TestComparison:
+    """run_comparison builds the seeds, the initial system and the trace once
+    and runs each method's loop on them."""
+
+    def test_compare_writes_the_bytes_of_three_simulate_runs(self, runs):
+        root, out = runs
+        for method in harness.METHODS:
+            cfg = small_config(root / "simulate" / method, root / "trace.csv", method=method)
+            harness.run_experiment(cfg)
+            shared = out[method][0].out_dir
+            names = sorted(os.listdir(cfg.out_dir))
+            assert names == sorted(os.listdir(shared)) and "metadata.json" in names
+            for name in names:
+                assert (open(os.path.join(cfg.out_dir, name), "rb").read()
+                        == open(os.path.join(shared, name), "rb").read()), (method, name)
+
+    def test_setup_is_built_once_and_left_unchanged(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, None, steps=1300, dataset_sizes=(200, 60, 60, 60),
+                           train_config=TrainConfig(epochs=5),
+                           param_space=ParamSpace(counts=(4, 4)))
+        train, initial_system = perception.train, harness.initial_system
+        train_seeds, built = [], []
+
+        def arrays(init):
+            phi0 = init["phi0"]
+            return ([a.copy() for d in init["datasets"].values() for a in (d.X, d.y)]
+                    + [a.copy() for a in (*phi0.weights, *phi0.biases)])
+
+        def counted_train(seed, *args, **kw):
+            train_seeds.append(seed)
+            return train(seed, *args, **kw)
+
+        def kept_initial_system(cfg, seeds):
+            init = initial_system(cfg, seeds)
+            built.append((init, dict(init["datasets"]), arrays(init)))
+            return init
+
+        monkeypatch.setattr(perception, "train", counted_train)
+        monkeypatch.setattr(harness, "initial_system", kept_initial_system)
+        metrics = harness.run_comparison(cfg)
+        assert train_seeds.count(harness.derive_seeds(cfg.seed)["train"]) == 1
+        # the sa run repaired, so it merged counterexamples into its datasets
+        assert metrics["sa"].repairs_signalled >= 1
+        [(init, datasets, before)] = built
+        assert init["datasets"].keys() == datasets.keys()
+        assert all(a is b for a, b in zip(init["datasets"].values(), datasets.values()))
+        after = arrays(init)
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 class TestTraceAccounting:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from colavoid import pmc, synthesis, uq
 from colavoid.pdtmc import ModelConstants, ModelError, instantiate, reference_model
@@ -92,6 +92,25 @@ class TestExpectedReward:
         assert pmc.expected_reward_to_absorption(corpus_chains["coin"], {"done"}) \
             == math.inf
 
+    def test_infinite_when_a_tiny_leak_avoids_the_target(self):
+        # the trap is never left, so "done" is not reached almost surely,
+        # however close to 1 its probability is
+        chain = chain_from_rows(
+            {"s0": {"done": 1 - 1e-12, "trap": 1e-12}, "done": {"done": 1.0},
+             "trap": {"trap": 1.0}},
+            labels={"done": ["done"]}, rewards={("s0", "done"): 3.0})
+        assert pmc.expected_reward_to_absorption(chain, {"done"}) == math.inf
+
+    def test_finite_when_absorbed_almost_surely_but_slowly(self, ref_model):
+        # the round exit a + b is 1e-10: absorption is almost sure, after
+        # about 1e10 rounds
+        val = {"p_collider": 1.0, "p_occ": 0.5, "p00": 1.0, "p11": 1.0,
+               "c1": 2e-10, "c2": 0.0}
+        a, b = closed_form(**val)
+        time = pmc.expected_reward_to_absorption(instantiate(ref_model, val),
+                                                 {"done", "collision"})
+        assert time == pytest.approx(10.0 + 2.0 * (1 - a - b) / (a + b), rel=1e-4)
+
     def test_unknown_label(self, ref_chain):
         with pytest.raises(pmc.CheckError):
             pmc.expected_reward_to_absorption(ref_chain, {"nirvana"})
@@ -140,7 +159,7 @@ class TestSimulateChain:
 
 class TestResiduals:
     def test_linear_solve_residual_bound(self, corpus_chains):
-        # _solve raises beyond 1e-10; recheck externally for the fixpoint system
+        # recheck the fixpoint system's residual outside _solve
         chain = corpus_chains["fixpoint"]
         x = pmc.until_probability(chain, "collision", "done")
         assert abs((1 - 0.25) * x - 0.5) <= 1e-10
@@ -150,6 +169,34 @@ class TestResiduals:
         # consistent and inconsistent right-hand sides; the diagonal is nonzero
         with pytest.raises(pmc.CheckError, match="singular"):
             pmc._solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array(b))
+
+    def test_backward_error_names_the_member(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def perturbed(A, b):
+            x = solve(A, b)
+            x[1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        A, b = np.stack([2.0 * np.eye(2)] * 3), np.ones((3, 2))
+        # residual 2e-6 over 2 * (0.5 + 1e-6) + 1
+        with pytest.raises(pmc.CheckError,
+                           match=r"^member 7: linear solve backward error 9.99\d*e-07 "
+                                 r"exceeds 1e-12$"):
+            pmc._solve(A, b, members=np.array([4, 7, 9]))
+
+    def test_large_answer_passes_the_guard(self):
+        # an expected time near 7e5 leaves an absolute residual above 1e-10
+        # in a solve whose backward error is near machine precision
+        model = reference_model(ModelConstants(t_move=1.0, t_wait=7.0))
+        val = {"p_collider": 0.99999, "p_occ": 0.25, "p00": 0.0, "p11": 0.0,
+               "c1": 0.0, "c2": 0.0}
+        a, b = closed_form(**val)
+        time = pmc.expected_reward_to_absorption(instantiate(model, val),
+                                                 {"done", "collision"})
+        assert time == pytest.approx(1.0 + 7.0 * (1 - a - b) / (a + b), rel=1e-9)
+        assert time == pytest.approx(699994.0, rel=1e-9)
 
 
 class TestQuantifyCandidates:
@@ -306,6 +353,7 @@ class TestClosedFormOracle:
     """The reference chain has an exact closed form; the checker must meet it."""
 
     @given(p_collider=unit, p_occ=unit, p00=unit, p11=unit, c1=unit, c2=unit)
+    @example(p_collider=0.99999, p_occ=0.25, p00=0.0, p11=0.0, c1=0.0, c2=0.0)
     @settings(max_examples=300, deadline=None)
     def test_safety_and_time(self, timed_models, p_collider, p_occ, p00, p11, c1, c2):
         a, b = closed_form(p_collider, p_occ, p00, p11, c1, c2)
