@@ -26,6 +26,8 @@ from .perception import MLPPredictor, TrainConfig
 
 #: Event-log names of the two slots.
 NAMES = ("A", "B")
+#: Most epochs a repair fine-tunes the serving phi for.
+REPAIR_EPOCHS = 40
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,9 @@ class DualRuntime:
         return True
 
     def run_repair(self, ce, step):
-        """Three-phase pipeline: dataset update + retrain, uncertainty
-        quantification, synthesis.  Returns (accepted, new state or None)."""
+        """Three-phase pipeline: dataset update + fine-tuning of the serving
+        phi, uncertainty quantification, synthesis.  Returns (accepted, new
+        state or None)."""
         cfg = self.cfg
         self._repair_seed += 1
         seed = cfg.train_config.seed + 1000 * self._repair_seed
@@ -116,8 +119,9 @@ class DualRuntime:
                                                 self.sizes[role], seed + i)
                 for i, role in enumerate(perception.CE_ROLES)
             }
-            tc = replace(cfg.train_config, seed=seed)
-            phi = perception.train(seed, working["train"], working["val"], tc)
+            tc = replace(cfg.train_config, seed=seed,
+                         epochs=min(cfg.train_config.epochs, REPAIR_EPOCHS))
+            phi = perception.train(self.state.phi, working["train"], working["val"], tc)
             test_acc = uq.accuracy(MLPPredictor(phi), working["test"])
             if test_acc < cfg.test_gate:
                 self._log(step, "reject", f"test_accuracy={test_acc:.4f}")

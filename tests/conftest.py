@@ -1,6 +1,6 @@
 import pytest
 
-from colavoid import pmc, uq
+from colavoid import perception, pmc, uq
 from colavoid.pdtmc import (PDTMC, ModelConstants, Transition, instantiate,
                             parse_expr, reference_model)
 
@@ -11,6 +11,19 @@ MATRIX_C_SHIFT = [[1000, 200], [1200, 100]]
 @pytest.fixture(scope="session")
 def ref_model():
     return reference_model(ModelConstants())
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Wraps perception.train; the list collects each call's (init, cfg)."""
+    calls, train = [], perception.train
+
+    def recording(init, train_set, val_set, cfg):
+        calls.append((init, cfg))
+        return train(init, train_set, val_set, cfg)
+
+    monkeypatch.setattr(perception, "train", recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

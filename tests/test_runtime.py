@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import perception as pc
@@ -165,6 +166,38 @@ class TestSwap:
         assert active_name(rt) == "A" and rt.state.version == 2
         swaps = [(e[0], e[1], e[2], e[4]) for e in rt.events if e[3] == "swap"]
         assert swaps == [(1, "B", 1, "A->B"), (2, "A", 2, "B->A")]
+
+
+class TestFineTuning:
+    """A repair fine-tunes a copy of the serving phi for at most
+    REPAIR_EPOCHS epochs."""
+
+    @pytest.mark.parametrize("epochs", [3, runtime.REPAIR_EPOCHS, 100])
+    def test_repair_starts_from_the_serving_phi(self, ref_model, train_calls, epochs):
+        rt = make_runtime(ref_model, test_gate=0.0)
+        rt.cfg.train_config = pc.TrainConfig(epochs=epochs, seed=0)
+        serving = rt.state.phi
+        assert rt.signal_repair(make_ce(60, seed=21), {"accuracy"}, step=1)
+        assert rt.finish_repair(step=2) is True
+        assert rt.signal_repair(make_ce(60, seed=22), {"accuracy"}, step=3)
+        [(first, cfg1), (second, cfg2)] = train_calls
+        assert first is serving
+        assert second is rt.state.phi and second is not serving
+        assert cfg1.epochs == cfg2.epochs == min(epochs, runtime.REPAIR_EPOCHS)
+        assert (cfg1.seed, cfg2.seed) == (1000, 2000)
+
+    @pytest.mark.parametrize("test_gate, accepted", [(0.0, True), (1.1, False)])
+    def test_repair_leaves_the_serving_phi_unchanged(self, ref_model, test_gate, accepted):
+        rt = make_runtime(ref_model, test_gate=test_gate)
+        old = rt.state.phi
+        arrays = [a.copy() for a in old.weights + old.biases]
+        rt.signal_repair(make_ce(60, seed=23), {"accuracy"}, step=1)
+        assert rt.finish_repair(step=2) is accepted
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, old.weights + old.biases))
+        if accepted:
+            assert rt.state.phi is not old and rt.predictor.params is rt.state.phi
+        else:
+            assert rt.state.phi is old and rt.predictor.params is old
 
 
 #: Distinct parameter sets, so a served predictor names the repair it came from.
