@@ -13,15 +13,20 @@ import sys
 from dataclasses import replace
 
 from . import pmc, simenv, synthesis, uq
-from .harness import (ENVIRONMENTS, METHODS, ExperimentConfig, default_specs,
+from .harness import (ENVIRONMENTS, METHODS, ExperimentConfig, HarnessError, default_specs,
                       format_table, run_comparison, run_experiment, summarize)
-from .monitor import MonitorConfig
+from .monitor import MonitorConfig, MonitorError
 from .pdtmc import ModelConstants, ModelError, instantiate, parse_model, reference_model
+from .perception import PerceptionError
 from .synthesis import ParamSpace
 
 #: errors of the input of `check` and `synthesize` (their files and values),
 #: which `main` reports as a usage error rather than a traceback
 INPUT_ERRORS = (OSError, ModelError, uq.QuantifyError, synthesis.SynthesisError)
+#: errors of building the config of `simulate` and `compare` from the
+#: --config file and the flags; an error of the run itself still raises
+CONFIG_ERRORS = (OSError, ValueError, TypeError, HarnessError, MonitorError, ModelError,
+                 PerceptionError, simenv.EnvError)
 
 
 def _load_model(path, constants):
@@ -93,22 +98,24 @@ CONFIG_FLAGS = {"method": "method", "env": "environment", "steps": "steps",
 def _config_from_args(args):
     """The --config file (or the defaults) with every given flag applied;
     the config is validated once, with the flags in it."""
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    try:
+        cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: malformed JSON: {exc}") from None
     given = {name: getattr(args, flag) for flag, name in CONFIG_FLAGS.items()
              if getattr(args, flag, None) is not None}
     return replace(cfg, **given)
 
 
-def cmd_simulate(args):
-    metrics = run_experiment(_config_from_args(args))
+def cmd_simulate(cfg):
+    metrics = run_experiment(cfg)
     print(json.dumps({"accuracy": metrics.accuracy, "safety_rate": metrics.safety_rate,
                       "mean_step_time": metrics.mean_step_time,
                       "repairs_accepted": metrics.repairs_accepted}, indent=2))
     return 0
 
 
-def cmd_compare(args):
-    cfg = _config_from_args(args)
+def cmd_compare(cfg):
     run_comparison(cfg)
     print(format_table(*summarize([os.path.join(cfg.out_dir, m) for m in METHODS])))
     return 0
@@ -158,9 +165,9 @@ def build_parser():
     p = sub.add_parser("simulate", help="run one experiment")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--trace", help="shared benchmark trace CSV")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, input_errors=CONFIG_ERRORS)
     compare = sub.add_parser("compare", help="run every method on one shared trace")
-    compare.set_defaults(func=cmd_compare)
+    compare.set_defaults(func=cmd_compare, input_errors=CONFIG_ERRORS)
     for q in (p, compare):
         q.add_argument("--env", choices=ENVIRONMENTS)
         q.add_argument("--steps", type=int)
@@ -177,7 +184,7 @@ def build_parser():
     p = sub.add_parser("summarize", help="compare completed runs")
     p.add_argument("dirs", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_summarize)
+    p.set_defaults(func=cmd_summarize, input_errors=(OSError, HarnessError))
     return parser
 
 
@@ -185,9 +192,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if "config" not in args:
+            return args.func(args)
+        # simulate and compare read their input only while the config is built
+        cfg = _config_from_args(args)
     except args.input_errors as exc:
         parser.error(str(exc))
+    return args.func(cfg)
 
 
 if __name__ == "__main__":

@@ -91,7 +91,10 @@ class ExperimentConfig:
         kwargs = {key: raw[key] for key in plain if key in raw}
         for key, (name, build) in built.items():
             if key in raw:
-                kwargs[name] = build(raw[key])
+                try:
+                    kwargs[name] = build(raw[key])
+                except TypeError as exc:    # an unknown key or a wrong shape
+                    raise HarnessError(f"config block {key!r}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -203,14 +206,10 @@ def _run(cfg, seeds, init, trace):
 
         # first step boundary at/after each monitoring-period boundary
         if monitor.at_period_boundary():
-            decision = monitor.evaluate()
-            if cfg.method == "sa" and decision.repair:
-                ce = monitor.drain_counterexamples(world.trace)
-                if len(ce):
-                    rt.signal_repair(ce, decision.reasons, monitor.queries)
-                    rt.finish_repair(monitor.queries)
-            else:
-                monitor.reset_period()
+            reasons, ce = monitor.close_period(world.trace, cfg.method == "sa")
+            if len(ce):
+                rt.signal_repair(ce, reasons, monitor.queries)
+                rt.finish_repair(monitor.queries)
 
     total = monitor.total
     metrics = Metrics(

@@ -5,10 +5,11 @@ step's queries, as (trace row, prediction, truth) ints, and its outcome.
 It owns every count taken from them: the run's totals, a window of the
 last d_window queries' correct bits, the period's 2x2 (truth, prediction)
 counts, the trace rows of the period's misclassified queries and the
-period's outcome stats.  At period boundaries (every T_monitor queries) it
-compares windowed accuracy and period safety/time against the configured
-thresholds and, when a clause fires, exposes the period's misclassified
-trace rows as a counterexample dataset.
+period's outcome stats.  At each period boundary (every T_monitor queries)
+`close_period` compares windowed accuracy and period safety/time against
+the configured thresholds, returns the failing clauses and, for a
+repairing run whose clause fired, the period's misclassified trace rows as
+a counterexample dataset, and starts the next period.
 """
 
 from __future__ import annotations
@@ -82,17 +83,6 @@ class RunningStats:
         return self.total_time / self.attempts
 
 
-@dataclass(frozen=True)
-class RepairDecision:
-    repair: bool
-    reasons: frozenset       # subset of {"accuracy", "safety", "time"}
-    accuracy: float          # windowed accuracy (nan when skipped)
-    period_accuracy: float   # accuracy over the period's queries (nan if none)
-    safety_rate: float
-    mean_time: float
-    skipped: bool = False    # window not yet full at evaluation time
-
-
 class Monitor:
     """Owns the query count, the period boundaries, the window, the period
     counts and stats, the run's totals and the rows of its three CSVs."""
@@ -148,45 +138,35 @@ class Monitor:
         return (self.counts[0] + self.counts[3]) / n if n else float("nan")
 
     def evaluate(self):
-        """Period-boundary repair decision per the threshold clauses."""
-        period_acc = self.period_accuracy()
-        stats = self.stats
+        """The threshold clauses failing at a period boundary, a subset of
+        {"accuracy", "safety", "time"}; empty while the window fills."""
         if len(self.window) < self.cfg.d_window:
-            return RepairDecision(False, frozenset(), float("nan"), period_acc,
-                                  stats.safety_rate, stats.mean_time, skipped=True)
-        acc = self.window_accuracy()
-        reasons = set()
-        if acc < self.cfg.threshold_1:
+            return frozenset()
+        stats, reasons = self.stats, set()
+        if self.window_accuracy() < self.cfg.threshold_1:
             reasons.add("accuracy")
         if stats.safety_rate < self.cfg.safety_bound:
             reasons.add("safety")
         if stats.mean_time > self.cfg.time_bound:
             reasons.add("time")
-        return RepairDecision(bool(reasons), frozenset(reasons), acc, period_acc,
-                              stats.safety_rate, stats.mean_time)
+        return frozenset(reasons)
 
-    def drain_counterexamples(self, trace):
-        """The just-finished period's misclassified queries, as a dataset of
-        their trace rows' inputs and true labels.
+    def close_period(self, trace, repairing):
+        """Evaluate the just-finished period, write its periods.csv row and
+        start the next one; callable only at a boundary.
 
-        A non-empty set marks the last trace row as the repair step.  Resets
-        the period counts and stats; callable only at a boundary.
+        Returns (failing clauses, counterexamples).  The counterexamples are
+        the period's misclassified queries, as a dataset of their trace rows'
+        inputs and true labels, when `repairing` and a clause fired; else an
+        empty dataset.  A non-empty set marks the last trace row as the
+        repair step.
         """
         if not self.at_period_boundary():
             raise MonitorError("period not yet complete")
-        rows = self.wrong_rows
-        ce = Dataset(trace.X[rows], trace.label[rows], role="train")
+        reasons = self.evaluate()
+        rows = self.wrong_rows if repairing and reasons else []
         if rows and self._trace:
             self._trace[-1][-1] = 1
-        self._advance_period()
-        return ce
-
-    def reset_period(self):
-        """Start a new period without draining counterexamples."""
-        self._advance_period()
-
-    def _advance_period(self):
-        """Close the period as a periods.csv row and start the next one."""
         self.periods.append([len(self.periods), self.period_accuracy(),
                              self.stats.safety_rate, self.stats.mean_time])
         self.counts = [0, 0, 0, 0]
@@ -194,12 +174,13 @@ class Monitor:
         self.stats = RunningStats()
         while self._next_boundary <= self.queries:
             self._next_boundary += self.cfg.t_monitor
+        return reasons, Dataset(trace.X[rows], trace.label[rows])
 
     def log_trace_row(self, rec):
         """The steps.csv and monitor_trace.csv rows of the step just observed;
         both start with the query count.  The trace row holds the step's last
         prediction and truth and the window and period figures; its repair
-        flag is set by drain_counterexamples."""
+        flag is set by close_period."""
         self.steps.append([self.queries, rec.outcome, rec.elapsed, rec.waits, rec.queries])
         _, prediction, truth = rec.observations[-1] if rec.observations else ("", "", "")
         acc = self.window_accuracy() if self.window else ""

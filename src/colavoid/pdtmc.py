@@ -143,9 +143,11 @@ class Transition:
 class PDTMC:
     """Parametric chain: named/labelled states, expression transitions, rewards.
 
-    Construction also compiles the chain once for `instantiate`: the state
-    order `names`, the flat cell of each transition in the n x n matrix, the
-    reward matrix `R` and the mask of the states carrying each label."""
+    `parse_model` checks that every state, parameter and reward is declared
+    and well-formed; construction only compiles the chain once for
+    `instantiate`: the state order `names`, the flat cell of each transition
+    in the n x n matrix, the reward matrix `R` and the mask of the states
+    carrying each label."""
 
     states: dict            # name -> frozenset of labels
     initial: str
@@ -154,20 +156,6 @@ class PDTMC:
     params: dict            # name -> ParamDecl
 
     def __post_init__(self):
-        if self.initial not in self.states:
-            raise ModelError(f"initial state '{self.initial}' is not declared")
-        for t in self.transitions:
-            for endpoint in (t.src, t.dst):
-                if endpoint not in self.states:
-                    raise ModelError(f"undeclared state '{endpoint}' in transition")
-            for p in t.expr.names:
-                if p not in self.params:
-                    raise ModelError(f"undeclared parameter '{p}'")
-        for (src, dst) in self.rewards:
-            if src not in self.states or dst not in self.states:
-                raise ModelError("reward references undeclared state")
-            if self.rewards[(src, dst)] < 0:
-                raise ModelError("transition rewards must be nonnegative")
         self.names = list(self.states)
         index = {s: i for i, s in enumerate(self.names)}
         n = len(self.names)
@@ -278,34 +266,32 @@ def parse_model(text, constants=None):
         elif keyword == "init":
             if initial is not None:
                 raise ModelSyntaxError("duplicate init directive", line_no)
-            initial = m.group(1)
-        elif keyword == "trans":
+            initial, init_line = m.group(1), line_no
+        else:  # trans and reward lines
             src, dst = m.group(1), m.group(2)
             for endpoint in (src, dst):
                 if endpoint not in states:
                     raise ModelSyntaxError(f"undeclared state '{endpoint}'", line_no)
             expr = parse_expr(m.group(3), line_no)
-            for p in expr.names:
-                if p not in params:
-                    raise ModelSyntaxError(f"undeclared parameter '{p}'", line_no)
-            transitions.append(Transition(src, dst, expr))
-        else:  # reward
-            src, dst = m.group(1), m.group(2)
-            for endpoint in (src, dst):
-                if endpoint not in states:
-                    raise ModelSyntaxError(f"undeclared state '{endpoint}'", line_no)
-            expr = parse_expr(m.group(3), line_no)
-            for name in sorted(expr.names):
-                if name not in constants:
-                    raise ModelSyntaxError(f"unknown constant '{name}' in reward", line_no)
-            value = float(expr.evaluate(constants))
-            if not math.isfinite(value):
-                raise ModelSyntaxError(f"reward {src}->{dst} is not finite: {value}", line_no)
-            if value < 0:
-                raise ModelSyntaxError(f"reward {src}->{dst} is negative: {value}", line_no)
-            rewards[(src, dst)] = value
+            if keyword == "trans":
+                for p in expr.names:
+                    if p not in params:
+                        raise ModelSyntaxError(f"undeclared parameter '{p}'", line_no)
+                transitions.append(Transition(src, dst, expr))
+            else:  # reward
+                for name in sorted(expr.names):
+                    if name not in constants:
+                        raise ModelSyntaxError(f"unknown constant '{name}' in reward", line_no)
+                value = float(expr.evaluate(constants))
+                if not math.isfinite(value):
+                    raise ModelSyntaxError(f"reward {src}->{dst} is not finite: {value}", line_no)
+                if value < 0:
+                    raise ModelSyntaxError(f"reward {src}->{dst} is negative: {value}", line_no)
+                rewards[(src, dst)] = value
     if initial is None:
         raise ModelError("model declares no initial state")
+    if initial not in states:
+        raise ModelSyntaxError(f"initial state '{initial}' is not declared", init_line)
     return PDTMC(states=states, initial=initial, transitions=transitions,
                  rewards=rewards, params=params)
 

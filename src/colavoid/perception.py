@@ -5,6 +5,8 @@ minibatch SGD on binary cross-entropy with validation-based snapshot
 selection; the layers are views into one flat parameter vector. Inputs are
 standardized with a fixed affine map derived from the declared input-space
 ranges, so the training and operating pipelines cannot drift apart.
+A `Dataset` is an (X, y) pair; its role is the key it is kept under, and a
+repair splits its counterexamples among CE_ROLES by CE_RATIOS.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ class PerceptionError(Exception):
 
 @dataclass
 class Dataset:
-    """Labelled inputs as arrays, with a role tag: `X` (n x 5 float) and
-    `y` (n int8 classes in {0, 1})."""
+    """Labelled inputs as arrays: `X` (n x 5 float) and `y` (n int8
+    classes in {0, 1})."""
 
     X: np.ndarray
     y: np.ndarray
-    role: str = "train"      # train | val | confusion | test | window
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float).reshape(-1, len(INPUT_RANGES))
@@ -103,12 +104,6 @@ class MLPParams:
             scale = math.sqrt(2.0 / n_in)
             weights.append(rng.normal(0.0, scale, size=(n_in, n_out)))
             biases.append(np.zeros(n_out))
-        return cls(weights, biases)
-
-    @classmethod
-    def zeros(cls, sizes=LAYER_SIZES):
-        weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-        biases = [np.zeros(b) for b in sizes[1:]]
         return cls(weights, biases)
 
 
@@ -242,32 +237,28 @@ CE_ROLES = ("train", "val", "confusion", "test")
 CE_RATIOS = (0.4, 0.2, 0.2, 0.2)
 
 
-def split_counterexamples(ce, ratios, seed=0):
-    """Shuffle and split a counterexample set into the four dataset roles.
+def split_counterexamples(ce, seed=0):
+    """Shuffle and split a counterexample set into one part per role of
+    CE_ROLES, in that order.
 
-    Sizes are floor(ratio * n); the remainder goes to the earliest roles.
+    Sizes are floor(ratio * n) by CE_RATIOS; the remainder goes to the
+    earliest roles.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise PerceptionError(f"split ratios sum to {sum(ratios)}, expected 1")
-    if len(ratios) != 4:
-        raise PerceptionError("expected four split ratios")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ce))
     n = len(ce)
-    sizes = [int(math.floor(r * n)) for r in ratios]
+    sizes = [int(math.floor(r * n)) for r in CE_RATIOS]
     remainder = n - sum(sizes)
     for i in range(remainder):
-        sizes[i % 4] += 1
+        sizes[i % len(sizes)] += 1
     parts = np.split(order, np.cumsum(sizes)[:-1])
-    return tuple(Dataset(ce.X[idx], ce.y[idx], role) for idx, role in zip(parts, CE_ROLES))
+    return tuple(Dataset(ce.X[idx], ce.y[idx]) for idx in parts)
 
 
 def merge_datasets(base, ce_part):
-    """Multiset append (base first); role tags must match."""
-    if base.role != ce_part.role:
-        raise PerceptionError(f"role mismatch: {base.role} vs {ce_part.role}")
+    """Multiset append (base first)."""
     return Dataset(np.concatenate([base.X, ce_part.X]),
-                   np.concatenate([base.y, ce_part.y]), base.role)
+                   np.concatenate([base.y, ce_part.y]))
 
 
 def sample_dataset(src, n, seed):
@@ -284,4 +275,4 @@ def sample_dataset(src, n, seed):
     else:
         extra = rng.choice(len(src), size=n - len(src), replace=True)
         idx = np.concatenate([np.arange(len(src)), extra])
-    return Dataset(src.X[idx], src.y[idx], src.role)
+    return Dataset(src.X[idx], src.y[idx])

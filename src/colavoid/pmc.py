@@ -75,7 +75,7 @@ class QRTable:
     """Per-candidate quantification results, aligned with the candidate grid."""
 
     dim_names: tuple           # names of the candidate components
-    candidates: list           # of tuples (candidate components)
+    candidates: tuple          # the grid's candidate tuples, in grid order
     columns: list              # spec display names, state specs first
     rows: np.ndarray           # (candidates x columns) floats; math.inf allowed for rewards
 
@@ -315,5 +315,5 @@ def quantify_candidates(model, u, grid, state_specs, reward_specs, base_valuatio
                 except Exception as exc:
                     raise CheckError(f"candidate {i} ({grid.candidates[i]}): {exc}") from exc
             raise
-    return QRTable(dim_names=tuple(grid.dim_names),
-                   candidates=[tuple(c) for c in grid.candidates], columns=columns, rows=rows)
+    return QRTable(dim_names=tuple(grid.dim_names), candidates=grid.candidates,
+                   columns=columns, rows=rows)

@@ -110,10 +110,9 @@ class DualRuntime:
         self._repair_seed += 1
         seed = cfg.train_config.seed + 1000 * self._repair_seed
         try:
-            parts = perception.split_counterexamples(ce, perception.CE_RATIOS, seed=seed)
-            for part in parts:
-                self.datasets[part.role] = perception.merge_datasets(
-                    self.datasets[part.role], part)
+            parts = perception.split_counterexamples(ce, seed=seed)
+            for role, part in zip(perception.CE_ROLES, parts):
+                self.datasets[role] = perception.merge_datasets(self.datasets[role], part)
             working = {
                 role: perception.sample_dataset(self.datasets[role],
                                                 self.sizes[role], seed + i)

@@ -205,13 +205,12 @@ def gen_initial_datasets(c0, eps0, sizes, seed, oracle=OracleConfig()):
     """Pre-collected datasets drawn from the eps0-ball around c0 and labelled
     by the oracle; returns (train, val, confusion, test)."""
     rng = np.random.default_rng(seed)
-    roles = ("train", "val", "confusion", "test")
     out = []
-    for size, role in zip(sizes, roles):
+    for size in sizes:
         if size < 1:
             raise EnvError("dataset sizes must be positive")
         X = ball_sample(c0, eps0, size, rng)
-        out.append(Dataset(X, ground_truth_labels(X, oracle), role))
+        out.append(Dataset(X, ground_truth_labels(X, oracle)))
     return tuple(out)
 
 

@@ -57,17 +57,15 @@ def discretize(space):
     return CandidateGrid(dim_names=tuple(space.names), candidates=tuple(candidates))
 
 
-def filter_optimal(grid, qr, state_specs, reward_specs):
-    """Pick the best candidate under the synthesis objective.
+def filter_optimal(qr, state_specs, reward_specs):
+    """Pick the best candidate of a QR table under the synthesis objective.
 
     Among candidates meeting every reward bound, maximize the first state
     spec's probability; ties break toward lower first-reward expectation,
     then lexicographic candidate order.  When no candidate meets the reward
     bounds, return the max-safety candidate with feasibility False.  The
-    candidate returned is the grid's own tuple.
+    candidate returned is the table's own tuple.
     """
-    if len(qr.rows) != len(grid.candidates) or list(qr.candidates) != list(grid.candidates):
-        raise SynthesisError("QR table is not aligned with the candidate grid")
     rows, n_state = qr.rows, len(state_specs)
     meets = np.ones(len(rows), dtype=bool)
     for j, spec in enumerate(reward_specs):
@@ -78,10 +76,10 @@ def filter_optimal(grid, qr, state_specs, reward_specs):
     reward = rows[:, n_state] if reward_specs else np.zeros(len(rows))
     pool &= safety == safety[pool].max()
     pool &= reward == reward[pool].min()
-    best = min(np.flatnonzero(pool), key=lambda i: grid.candidates[i])
+    best = min(np.flatnonzero(pool), key=lambda i: qr.candidates[i])
     all_bounds = feasible_rewards and all(
         spec.satisfied(v) for spec, v in zip(state_specs, rows[best, :n_state]))
-    return grid.candidates[best], all_bounds
+    return qr.candidates[best], all_bounds
 
 
 def synthesize(u, model, space, state_specs, reward_specs, base_valuation=None):
@@ -89,7 +87,7 @@ def synthesize(u, model, space, state_specs, reward_specs, base_valuation=None):
     grid = discretize(space)
     qr = pmc.quantify_candidates(model, u, grid, state_specs, reward_specs,
                                  base_valuation=base_valuation)
-    cand, feasible = filter_optimal(grid, qr, state_specs, reward_specs)
+    cand, feasible = filter_optimal(qr, state_specs, reward_specs)
     return cand, qr, feasible
 
 

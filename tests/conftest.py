@@ -1,6 +1,6 @@
 import pytest
 
-from colavoid import perception, pmc, uq
+from colavoid import harness, perception, uq
 from colavoid.pdtmc import (PDTMC, ModelConstants, Transition, instantiate,
                             parse_expr, reference_model)
 
@@ -88,6 +88,4 @@ def corpus_chains(ref_chain, ref_model, u_shifted):
 
 @pytest.fixture(scope="session")
 def default_specs():
-    state = (pmc.StateSpec(avoid="collision", target="done", bound=0.9),)
-    reward = (pmc.RewardSpec(targets=frozenset({"done", "collision"}), bound=15.0),)
-    return state, reward
+    return harness.default_specs()

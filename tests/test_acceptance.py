@@ -217,14 +217,13 @@ def test_criterion_9_dataset_accounting(ref_model, monkeypatch):
                                  datasets, cfg)
         rng = np.random.default_rng(3)
         ce_states = simenv.ball_sample(harness.DEFAULT_C0, 0.3, 600, rng)
-        ce = perception.Dataset(ce_states, simenv.ground_truth_labels(ce_states, oracle),
-                                role="train")
+        ce = perception.Dataset(ce_states, simenv.ground_truth_labels(ce_states, oracle))
 
         def pairs(ds):
             return list(zip(map(tuple, ds.X.tolist()), ds.y.tolist()))
 
         # the split is a disjoint partition across the four roles
-        parts = perception.split_counterexamples(ce, perception.CE_RATIOS, seed=1)
+        parts = perception.split_counterexamples(ce, seed=1)
         seen = [xy for p in parts for xy in pairs(p)]
         assert len(seen) == len(ce)
         assert sorted(seen) == sorted(pairs(ce))

@@ -521,12 +521,16 @@ class TestCli:
                      id="malformed-model"),
         pytest.param(["synthesize", "--model", "missing.pdtmc"],
                      "colavoid: error: .*missing.pdtmc", id="missing-model"),
+        pytest.param(["check", "--params", "0.2,0.0", "--model", "no_init.pdtmc"],
+                     "colavoid: error: no_init.pdtmc: line 2: "
+                     "initial state 'nowhere' is not declared", id="undeclared-init"),
     ])
     def test_input_error_is_one_line(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.csv").write_text("2000,290\n10,200\n")
         (tmp_path / "three_rows.csv").write_text("2000,290\n10,200\n1,1\n")
         (tmp_path / "bad.pdtmc").write_text("state a;\ntrans a -> b : 1;\n")
+        (tmp_path / "no_init.pdtmc").write_text("state a;\ninit nowhere;\ntrans a -> a : 1;\n")
         if "--confusion" not in argv:
             argv = argv + ["--confusion", "c.csv"]
         with pytest.raises(SystemExit) as exc:
@@ -571,19 +575,59 @@ class TestCli:
         assert 0.0 <= result["accuracy"] <= 1.0
         assert (tmp_path / "out" / "metrics.csv").exists()
 
-    def test_simulate_flags_are_validated(self, tmp_path):
-        # a flag takes part in the config check: "sa" needs a full period
-        with pytest.raises(harness.HarnessError, match="period"):
-            cli.main(["simulate", "--config", self.small_config_file(tmp_path),
-                      "--method", "sa", "--steps", "10"])
+    @staticmethod
+    def assert_usage_error(capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert err.count("colavoid: error:") == 1
+        assert "Traceback" not in err
 
-    def test_simulate_rejects_zero_steps(self, tmp_path):
+    def test_simulate_flags_are_validated(self, capsys, tmp_path):
+        # a flag takes part in the config check: "sa" needs a full period
+        self.assert_usage_error(capsys, ["simulate", "--config", self.small_config_file(tmp_path),
+                                         "--method", "sa", "--steps", "10"],
+                                "colavoid: error: .*period")
+
+    def test_simulate_rejects_zero_steps(self, capsys, tmp_path):
         # --steps 0 is an empty budget, not the 15000 default, and it is
         # rejected before any training
-        with pytest.raises(harness.HarnessError, match="positive integer, got 0"):
-            cli.main(["simulate", "--config", self.small_config_file(tmp_path),
-                      "--steps", "0"])
+        self.assert_usage_error(capsys, ["simulate", "--config", self.small_config_file(tmp_path),
+                                         "--steps", "0"],
+                                "colavoid: error: steps must be a positive integer, got 0")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["simulate", "--steps", "0", "--out", "out"],
+                     "colavoid: error: steps must be a positive integer, got 0",
+                     id="zero-steps"),
+        pytest.param(["simulate", "--config", "unknown.json", "--out", "out"],
+                     "colavoid: error: unknown config keys: stepz", id="unknown-key"),
+        pytest.param(["simulate", "--config", "nested.json", "--out", "out"],
+                     "colavoid: error: config block 'monitor': .*'t_monitr'",
+                     id="unknown-nested-key"),
+        pytest.param(["compare", "--config", "nested.json", "--out", "out"],
+                     "colavoid: error: config block 'monitor': .*'t_monitr'",
+                     id="compare-unknown-nested-key"),
+        pytest.param(["simulate", "--config", "malformed.json", "--out", "out"],
+                     "colavoid: error: malformed.json: malformed JSON", id="malformed-json"),
+        pytest.param(["simulate", "--config", "missing.json", "--out", "out"],
+                     "colavoid: error: .*missing.json", id="missing-config"),
+        pytest.param(["summarize", "not_a_run"],
+                     "colavoid: error: incomplete run directory: not_a_run", id="not-a-run"),
+    ])
+    def test_run_input_error_is_one_line(self, capsys, tmp_path, monkeypatch, train_calls,
+                                         argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "unknown.json").write_text('{"method": "no", "stepz": 10}')
+        (tmp_path / "nested.json").write_text('{"monitor": {"t_monitr": 5}}')
+        (tmp_path / "malformed.json").write_text('{"steps": 10,')
+        (tmp_path / "not_a_run").mkdir()
+        self.assert_usage_error(capsys, argv, message)
+        assert not (tmp_path / "out").exists()
+        assert train_calls == []                # rejected before any training
 
     def test_compare_command(self, capsys, tmp_path):
         # "sa" needs a monitoring period within the budget

@@ -47,6 +47,16 @@ class TestParser:
         with pytest.raises(ModelSyntaxError, match="nowhere"):
             parse_model(SIMPLE + "trans s0 -> nowhere : 1;")
 
+    def test_undeclared_initial_state_names_its_line(self):
+        # SIMPLE's init line is line 6
+        with pytest.raises(ModelSyntaxError, match="line 6: initial state 'nowhere'") as exc:
+            parse_model(SIMPLE.replace("init s0;", "init nowhere;"))
+        assert exc.value.line_no == 6
+
+    def test_init_may_precede_its_state(self):
+        m = parse_model("init s0;\n" + SIMPLE.replace("init s0;", ""))
+        assert m == parse_model(SIMPLE)
+
     def test_duplicate_state(self):
         with pytest.raises(ModelSyntaxError, match="duplicate"):
             parse_model(SIMPLE + "state s0;")

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from colavoid import perception as pc
 
 
-def make_dataset(n, rule, seed, role="train"):
+def make_dataset(n, rule, seed):
     """Labels rule(x) on uniformly drawn in-range inputs."""
     rng = np.random.default_rng(seed)
     xs = [tuple(float(rng.uniform(lo, hi)) for lo, hi in pc.INPUT_RANGES)
           for _ in range(n)]
-    return pc.Dataset(xs, [int(rule(x)) for x in xs], role)
+    return pc.Dataset(xs, [int(rule(x)) for x in xs])
 
 
 def pairs(ds):
@@ -67,7 +67,9 @@ class TestForward:
             assert 0.0 < pc.forward(params, x)[0] < 1.0
 
     def test_zero_params_give_half(self):
-        params = pc.MLPParams.zeros()
+        sizes = pc.LAYER_SIZES
+        params = pc.MLPParams([np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
+                              [np.zeros(b) for b in sizes[1:]])
         assert pc.forward(params, [0.0] * 5)[0] == pytest.approx(0.5)
 
     def test_deterministic(self):
@@ -156,7 +158,7 @@ class TestBestEpoch:
         monkeypatch.setattr(pc, "dataset_loss", lambda params, X, y: next(scripted))
         rule = lambda x: x[0] > 0.0
         params = pc.train(pc.MLPParams.init_random(0), make_dataset(40, rule, seed=1),
-                          make_dataset(10, rule, seed=2, role="val"),
+                          make_dataset(10, rule, seed=2),
                           pc.TrainConfig(epochs=len(losses), seed=0))
         # snapshots[0] is the initial parameters; snapshots[1 + e] is epoch e's
         assert len(snapshots) == 1 + len(losses)
@@ -171,17 +173,17 @@ class TestTrain:
     def test_learns_separable_rule(self):
         rule = lambda x: x[0] > 0.0
         train_set = make_dataset(600, rule, seed=10)
-        val_set = make_dataset(200, rule, seed=11, role="val")
+        val_set = make_dataset(200, rule, seed=11)
         cfg = pc.TrainConfig(epochs=30, seed=0)
         params = pc.train(0, train_set, val_set, cfg)
-        test_set = make_dataset(300, rule, seed=12, role="test")
+        test_set = make_dataset(300, rule, seed=12)
         from colavoid import uq
         assert uq.accuracy(pc.MLPPredictor(params), test_set) > 0.9
 
     def test_deterministic_given_seeds(self):
         rule = lambda x: x[1] > 5.0
         train_set = make_dataset(100, rule, seed=20)
-        val_set = make_dataset(50, rule, seed=21, role="val")
+        val_set = make_dataset(50, rule, seed=21)
         cfg = pc.TrainConfig(epochs=3, seed=4)
         a = pc.train(0, train_set, val_set, cfg)
         b = pc.train(0, train_set, val_set, cfg)
@@ -191,7 +193,7 @@ class TestTrain:
     def test_returns_lowest_validation_snapshot(self):
         rule = lambda x: x[0] > 0.0
         train_set = make_dataset(200, rule, seed=30)
-        val_set = make_dataset(80, rule, seed=31, role="val")
+        val_set = make_dataset(80, rule, seed=31)
         cfg = pc.TrainConfig(epochs=10, seed=0)
         params = pc.train(0, train_set, val_set, cfg)
         # retrace the loss curve and confirm the returned snapshot attains it
@@ -207,7 +209,7 @@ class TestTrain:
         # at 151; train must not write into the snapshot it starts from
         rule = lambda x: x[0] + x[1] > 4.0
         train_set = make_dataset(150, rule, seed=40)
-        val_set = make_dataset(60, rule, seed=41, role="val")
+        val_set = make_dataset(60, rule, seed=41)
         cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, batch_size=batch_size, seed=3)
         init = pc.MLPParams.init_random(5, sizes=sizes)
         init_weights = [w.copy() for w in init.weights]
@@ -223,7 +225,7 @@ class TestTrain:
         # default architecture, a partial last batch of 22
         rule = lambda x: x[0] + x[1] > 4.0
         train_set = make_dataset(150, rule, seed=40)
-        val_set = make_dataset(60, rule, seed=41, role="val")
+        val_set = make_dataset(60, rule, seed=41)
         cfg = pc.TrainConfig(learning_rate=0.2, epochs=6, seed=3)
         params = pc.train(pc.MLPParams.init_random(5), train_set, val_set, cfg)
         digest = hashlib.sha256()
@@ -246,7 +248,7 @@ class TestTrain:
         monkeypatch.setattr(pc.MLPParams, "__init__", spy)
         rule = lambda x: x[0] > 0.0
         train_set = make_dataset(200, rule, seed=30)
-        val_set = make_dataset(80, rule, seed=31, role="val")
+        val_set = make_dataset(80, rule, seed=31)
         cfg = pc.TrainConfig(learning_rate=2.0, epochs=8, seed=0)
         params = pc.train(0, train_set, val_set, cfg)
         assert snapshots.index(params) < len(snapshots) - 1
@@ -259,7 +261,7 @@ class TestTrain:
     def test_divergence_raises(self, learning_rate):
         rule = lambda x: x[0] > 0.0
         train_set = make_dataset(200, rule, seed=50)
-        val_set = make_dataset(50, rule, seed=51, role="val")
+        val_set = make_dataset(50, rule, seed=51)
         cfg = pc.TrainConfig(learning_rate=learning_rate, epochs=3, seed=0)
         with np.errstate(all="ignore"), pytest.raises(pc.PerceptionError, match="non-finite"):
             pc.train(0, train_set, val_set, cfg)
@@ -267,9 +269,9 @@ class TestTrain:
     def test_empty_sets_rejected(self):
         ds = make_dataset(10, lambda x: 0, seed=0)
         with pytest.raises(pc.PerceptionError):
-            pc.train(0, pc.Dataset([], [], "train"), ds, pc.TrainConfig())
+            pc.train(0, pc.Dataset([], []), ds, pc.TrainConfig())
         with pytest.raises(pc.PerceptionError):
-            pc.train(0, ds, pc.Dataset([], [], "val"), pc.TrainConfig())
+            pc.train(0, ds, pc.Dataset([], []), pc.TrainConfig())
 
     def test_bad_config_rejected(self):
         with pytest.raises(pc.PerceptionError):
@@ -297,34 +299,27 @@ class TestCounterexampleBookkeeping:
     @given(n=st.integers(1, 200), seed=st.integers(0, 10))
     @settings(max_examples=30, deadline=None)
     def test_split_is_partition(self, n, seed):
-        ce = make_dataset(n, lambda x: x[0] > 0, seed=seed, role="window")
-        parts = pc.split_counterexamples(ce, (0.4, 0.2, 0.2, 0.2), seed=seed)
+        ce = make_dataset(n, lambda x: x[0] > 0, seed=seed)
+        parts = pc.split_counterexamples(ce, seed=seed)
+        assert len(parts) == len(pc.CE_ROLES)
         assert sum(len(p) for p in parts) == n
         assert sorted(xy for p in parts for xy in pairs(p)) == sorted(pairs(ce))
-        assert tuple(p.role for p in parts) == pc.CE_ROLES
 
     def test_split_sizes_respect_ratios(self):
-        ce = make_dataset(100, lambda x: 0, seed=1, role="window")
-        parts = pc.split_counterexamples(ce, (0.4, 0.2, 0.2, 0.2), seed=0)
+        ce = make_dataset(100, lambda x: 0, seed=1)
+        parts = pc.split_counterexamples(ce, seed=0)
         assert [len(p) for p in parts] == [40, 20, 20, 20]
 
-    def test_bad_ratios_rejected(self):
-        ce = make_dataset(10, lambda x: 0, seed=0)
-        with pytest.raises(pc.PerceptionError):
-            pc.split_counterexamples(ce, (0.5, 0.5, 0.5, 0.5), seed=0)
+    def test_ratios_cover_each_role_once(self):
+        assert len(pc.CE_RATIOS) == len(pc.CE_ROLES)
+        assert sum(pc.CE_RATIOS) == pytest.approx(1.0, abs=1e-9)
 
     def test_merge_appends(self):
-        a = make_dataset(5, lambda x: 0, seed=0, role="train")
-        b = make_dataset(3, lambda x: 1, seed=1, role="train")
+        a = make_dataset(5, lambda x: 0, seed=0)
+        b = make_dataset(3, lambda x: 1, seed=1)
         merged = pc.merge_datasets(a, b)
         assert len(merged) == 8
         assert pairs(merged) == pairs(a) + pairs(b)
-
-    def test_merge_role_mismatch(self):
-        a = make_dataset(2, lambda x: 0, seed=0, role="train")
-        b = make_dataset(2, lambda x: 0, seed=0, role="val")
-        with pytest.raises(pc.PerceptionError):
-            pc.merge_datasets(a, b)
 
     @given(n=st.integers(1, 50), m=st.integers(1, 120), seed=st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
@@ -340,7 +335,7 @@ class TestCounterexampleBookkeeping:
 
     def test_sample_from_empty_rejected(self):
         with pytest.raises(pc.PerceptionError):
-            pc.sample_dataset(pc.Dataset([], [], "train"), 3, seed=0)
+            pc.sample_dataset(pc.Dataset([], []), 3, seed=0)
 
 
 class TestRandomGuess:

@@ -207,6 +207,7 @@ class TestQuantifyCandidates:
                                      reward_specs,
                                      base_valuation={"p_collider": 0.8, "p_occ": 0.25})
         assert len(qr.rows) == 121
+        assert qr.candidates is grid.candidates     # the grid's own tuple, not a copy
         assert all(0.0 <= row[0] <= 1.0 for row in qr.rows)
         assert all(row[1] >= 0.0 for row in qr.rows)
 

@@ -11,7 +11,7 @@ def make_ce(n, seed):
     rng = np.random.default_rng(seed)
     oracle = simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS)
     X = simenv.ball_sample(simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0), 2.0, n, rng)
-    return pc.Dataset(X, simenv.ground_truth_labels(X, oracle), role="train")
+    return pc.Dataset(X, simenv.ground_truth_labels(X, oracle))
 
 
 def make_runtime(ref_model, test_gate=0.0, seed=0):

@@ -258,7 +258,6 @@ class TestBallSampleAndDatasets:
         out = simenv.gen_initial_datasets(
             simenv.ColliderState(0.0, 5.0, 3.0, 1.0, 0.0), 1.0,
             (40, 10, 10, 10), seed=5)
-        assert [d.role for d in out] == ["train", "val", "confusion", "test"]
         assert [len(d) for d in out] == [40, 10, 10, 10]
         assert [d.X.shape for d in out] == [(40, 5), (10, 5), (10, 5), (10, 5)]
 

@@ -63,41 +63,37 @@ class TestFilterOptimal:
 
     def test_max_safety_among_reward_feasible(self):
         qr = fake_qr(self.grid, [(1.0, 18.0), (0.95, 12.0), (0.99, 11.0), (0.8, 10.0)])
-        cand, feasible = synthesis.filter_optimal(self.grid, qr, self.state,
-                                                  self.reward)
+        cand, feasible = synthesis.filter_optimal(qr, self.state, self.reward)
         assert cand == (1.0, 0.0)       # 1.0-safety candidate violates time
         assert feasible
 
     def test_reward_tie_break(self):
         qr = fake_qr(self.grid, [(0.95, 14.0), (0.95, 12.0), (0.9, 11.0), (0.8, 10.0)])
-        cand, _ = synthesis.filter_optimal(self.grid, qr, self.state, self.reward)
+        cand, _ = synthesis.filter_optimal(qr, self.state, self.reward)
         assert cand == (0.0, 1.0)       # same safety, lower expected time
 
     def test_lexicographic_tie_break(self):
         qr = fake_qr(self.grid, [(0.95, 12.0), (0.95, 12.0), (0.95, 12.0), (0.95, 12.0)])
-        cand, _ = synthesis.filter_optimal(self.grid, qr, self.state, self.reward)
+        cand, _ = synthesis.filter_optimal(qr, self.state, self.reward)
         assert cand == (0.0, 0.0)
 
     def test_infeasible_rewards_fall_back_to_max_safety(self):
         qr = fake_qr(self.grid, [(1.0, 18.0), (0.95, 17.0), (0.99, 16.0), (0.8, 20.0)])
-        cand, feasible = synthesis.filter_optimal(self.grid, qr, self.state,
-                                                  self.reward)
+        cand, feasible = synthesis.filter_optimal(qr, self.state, self.reward)
         assert cand == (0.0, 0.0)
         assert not feasible
 
     def test_state_bound_violation_flags_infeasible(self):
         strict = (pmc.StateSpec(avoid="collision", target="done", bound=0.999),)
         qr = fake_qr(self.grid, [(0.99, 12.0), (0.9, 12.0), (0.9, 12.0), (0.9, 12.0)])
-        cand, feasible = synthesis.filter_optimal(self.grid, qr, strict, self.reward)
+        cand, feasible = synthesis.filter_optimal(qr, strict, self.reward)
         assert cand == (0.0, 0.0)
         assert not feasible
 
-    def test_misaligned_table_rejected(self):
-        bad = pmc.QRTable(dim_names=self.grid.dim_names,
-                          candidates=self.grid.candidates[:1],
-                          columns=["safety", "time"], rows=((1.0, 10.0),))
-        with pytest.raises(synthesis.SynthesisError):
-            synthesis.filter_optimal(self.grid, bad, self.state, self.reward)
+    def test_table_rows_must_match_candidates(self):
+        with pytest.raises(pmc.CheckError, match="align"):
+            pmc.QRTable(dim_names=self.grid.dim_names, candidates=self.grid.candidates,
+                        columns=["safety", "time"], rows=((1.0, 10.0),))
 
 
 class TestSynthesizeEndToEnd:

@@ -23,8 +23,7 @@ class FixedPredictor:
 
 
 def dataset_of(pairs):
-    return Dataset([(float(i), 0.0, 0.0, 0.0, 0.0) for i in range(len(pairs))], pairs,
-                   role="confusion")
+    return Dataset([(float(i), 0.0, 0.0, 0.0, 0.0) for i in range(len(pairs))], pairs)
 
 
 class TestQuantify:
@@ -125,7 +124,7 @@ class TestNonFiniteInput:
     @staticmethod
     def dataset_with_nan():
         X = [(1.0, 5.0, 3.0, 1.0, 0.0)] * 3 + [(1.0, float("nan"), 3.0, 1.0, 0.0)]
-        return Dataset(X, [0, 1, 0, 1], role="confusion")
+        return Dataset(X, [0, 1, 0, 1])
 
     def test_evaluate_confusion_rejects_nan(self):
         predictor = MLPPredictor(MLPParams.init_random(0))
