@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise HarnessError(f"unknown environment {self.environment!r}")
         if self.method == "sa" and self.steps < self.monitor.t_monitor:
             raise HarnessError("step budget must cover at least one monitoring period")
+        sizes = self.dataset_sizes
+        if not (isinstance(sizes, (tuple, list)) and len(sizes) == 4 and all(
+                isinstance(v, numbers.Integral) and v > 0 for v in sizes)):
+            raise HarnessError("dataset_sizes must be four positive integers (train, "
+                               f"validation, confusion, test), got {sizes!r}")
 
     @classmethod
     def from_json(cls, path):
@@ -267,6 +272,22 @@ def _write_outputs(cfg, seeds, init, world, monitor, rt, metrics):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def _read_run_file(path, parse):
+    """parse(fh) of the run file at `path`; text it cannot parse is an input error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh)
+    except (ValueError, csv.Error) as exc:     # malformed JSON or CSV, or not UTF-8
+        raise HarnessError(f"{path}: malformed: {exc}") from None
+
+
+def _field(values, path, key):
+    """values[key] of the run file at `path`, which must hold it."""
+    if not isinstance(values, dict) or key not in values:
+        raise HarnessError(f"{path}: missing key {key!r}")
+    return values[key]
+
+
 def summarize(run_dirs):
     """Comparison table over completed run directories.
 
@@ -282,17 +303,16 @@ def summarize(run_dirs):
         meta_path = os.path.join(d, "metadata.json")
         if not (os.path.exists(metrics_path) and os.path.exists(meta_path)):
             raise HarnessError(f"incomplete run directory: {d}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        values = {}
-        with open(metrics_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for key, value in reader:
-                values[key] = value
-        rows.append([os.path.basename(os.path.normpath(d)), meta["method"],
-                     meta["environment"], values["accuracy"], values["safety_rate"],
-                     values["mean_step_time"], values["repairs_accepted"]])
+        meta = _read_run_file(meta_path, json.load)
+        lines = _read_run_file(metrics_path, lambda fh: list(csv.reader(fh))[1:])
+        for line_no, line in enumerate(lines, start=2):
+            if len(line) != 2:
+                raise HarnessError(f"{metrics_path}: line {line_no}: expected 2 columns "
+                                   f"(metric, value), got {len(line)}")
+        values = dict(lines)
+        rows.append([os.path.basename(os.path.normpath(d))]
+                    + [_field(meta, meta_path, key) for key in header[1:3]]
+                    + [_field(values, metrics_path, key) for key in header[3:]])
     return header, rows
 
 

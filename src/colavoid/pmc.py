@@ -4,11 +4,11 @@ Supports constrained reachability P[!avoid U target] and expected
 cumulated transition reward to an absorption set, both computed by one
 graph precomputation (the prob0/prob1 states, which alone decide
 almost-sure reachability) followed by a dense linear solve.  Both also
-take a stack of chains: members are grouped by support pattern (P > 0),
-the precomputation runs once per pattern and its systems are solved as one
-stack.  A single chain is the stack of one, so a member gets the bits it
-gets alone.  A Monte-Carlo path sampler acts as an independent oracle for
-testing.
+take a stack of chains and check it in one pass: one precomputation over
+the whole support stack and one stacked solve, each member's system the
+leading block of an identity-padded matrix.  A single chain is the stack of
+one, and a member gets the bits it gets alone.  A Monte-Carlo path sampler
+acts as an independent oracle for testing.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class QRTable:
 def _backward_reachable(edge, sources, allowed):
     """Mask of the states in `allowed` from which some state of the mask
     `sources` is reachable through `allowed` states (sources included), over
-    the boolean support matrix `edge`."""
+    the boolean support matrix `edge`, or per member of a stack of them."""
     reached = sources
     while True:
-        grown = reached | (allowed & (edge @ reached))
+        grown = reached | (allowed & (edge @ reached[..., None])[..., 0])
         if (grown == reached).all():
             return grown
         reached = grown
@@ -130,41 +130,32 @@ def _label_mask(chain, labels):
     return mask
 
 
-def _groups(masks):
-    """(mask, indices of the entries equal to it) per distinct mask of a stack."""
-    members = {}
-    for i, key in enumerate(map(bytes, np.packbits(masks, axis=-1))):
-        members.setdefault(key, []).append(i)
-    return [(masks[ids[0]], np.array(ids)) for ids in members.values()]
-
-
 def _prob01(edge, is_avoid, is_target):
-    """Masks (prob0, prob1) of the states that satisfy !avoid U target with
-    probability 0 and 1, decided on the support matrix `edge` alone
-    (Baier and Katoen, Principles of Model Checking, 2008, section 10.1)."""
+    """(K, n) masks (prob0, prob1) of the states that satisfy !avoid U target
+    with probability 0 and 1, decided on each member's support in the stack
+    `edge` alone (Baier and Katoen, Principles of Model Checking, 2008, section 10.1)."""
     # prob-0: cannot reach target through non-avoid states
-    prob0 = ~_backward_reachable(edge, is_target, ~is_avoid) | is_avoid
-    prob0[is_target] = False
+    prob0 = (~_backward_reachable(edge, is_target, ~is_avoid) | is_avoid) & ~is_target
     # prob-1: cannot stray into a prob-0 state before hitting target
-    prob1 = ~_backward_reachable(edge, prob0, ~is_target) & ~prob0
-    prob1[is_target] = True
+    prob1 = (~_backward_reachable(edge, prob0, ~is_target) & ~prob0) | is_target
     return prob0, prob1
 
 
-def _solve(A, b, members=None):
+def _solve(A, b, members=None, own=True):
     """Dense solve of A x = b, or of a stack of them for the chain members
-    `members`, with a normwise backward-error check per member
-    (Rigal and Gaches, 1967; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 7.1).  After graph precomputation every system
-    is nonsingular, so a singular one or a large backward error is an
-    ill-posed query."""
+    `members`, with a normwise backward-error check per member over its own
+    rows, the mask `own` (Rigal and Gaches, 1967; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 7.1).  After graph
+    precomputation every system is nonsingular, so a singular one or a large
+    backward error is an ill-posed query."""
     try:
         x = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise CheckError(f"singular system after precomputation ({exc})") from None
-    residual = np.atleast_1d(np.abs((A @ x[..., None])[..., 0] - b).max(axis=-1))
-    scale = (np.abs(A).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=-1)
-             + np.abs(b).max(axis=-1))
+    residual = np.atleast_1d(np.where(own, np.abs((A @ x[..., None])[..., 0] - b), 0.0)
+                             .max(axis=-1))
+    scale = (np.where(own, np.abs(A).sum(axis=-1), 0.0).max(axis=-1)
+             * np.where(own, np.abs(x), 0.0).max(axis=-1) + np.abs(b).max(axis=-1))
     # an exact solve of x = 0, b = 0 has error 0; a nan residual stays nan
     error = np.divide(residual, scale, out=np.zeros_like(residual), where=residual != 0)
     bad = np.flatnonzero(~(error <= RESIDUAL_TOL))
@@ -173,6 +164,29 @@ def _solve(A, b, members=None):
         raise CheckError(f"member {i if members is None else members[i]}: linear solve "
                          f"backward error {error[i]} exceeds {RESIDUAL_TOL}")
     return x
+
+
+def _solve_at_initial(P, rel, b, initial, members=None):
+    """Per member of the stack P, x[initial] of (I - P[rel, rel]) x = b[rel]
+    over its state mask `rel`, or 0 where `initial` is not in it, in one
+    solve.  A member's system, its states in index order, is the leading
+    block of an m x m matrix filled with the identity, which no elimination
+    step mixes into the block: a member gets the bits it gets alone."""
+    size = rel.sum(axis=1)
+    m = size.max(initial=0)
+    if m == 0:
+        return np.zeros(len(P))
+    own = np.arange(m) < size[:, None]
+    # each member's rel states first, in index order, then the others
+    order = np.argsort(~rel, axis=1, kind="stable")[:, :m]
+    k = np.arange(len(P))
+    A = np.where(own[:, :, None] & own[:, None, :],
+                 np.eye(m) - P[k[:, None, None], order[:, :, None], order[:, None, :]],
+                 np.eye(m))
+    x = _solve(A, np.where(own, np.take_along_axis(b, order, axis=1), 0.0), members, own)
+    # the initial state's place among the member's rel states
+    at = np.minimum(rel[:, :initial].sum(axis=1), m - 1)
+    return np.where(rel[:, initial], x[k, at], 0.0)
 
 
 def _stack(chain):
@@ -195,18 +209,11 @@ def until_probability(chain, avoid, target):
     # target wins when a state carries both labels
     is_avoid = _label_mask(chain, [avoid]) & ~is_target
     P = _stack(chain)
-    x = np.empty(len(P))
-    for edge, members in _groups(P > 0.0):
-        prob0, prob1 = _prob01(edge, is_avoid, is_target)
-        # x = 1 on prob1, x = P x on the unknown states, 0 elsewhere
-        full = np.tile(prob1.astype(float), (len(members), 1))
-        unknown = np.flatnonzero(~prob0 & ~prob1)
-        if len(unknown):
-            full[:, unknown] = _solve(
-                np.eye(len(unknown)) - P[np.ix_(members, unknown, unknown)],
-                P[np.ix_(members, unknown, np.flatnonzero(prob1))].sum(axis=2), members)
-        x[members] = full[:, chain.initial]
-    return _per_chain(chain, np.clip(x, 0.0, 1.0))
+    prob0, prob1 = _prob01(P > 0.0, is_avoid, is_target)
+    # x = 1 on prob1, x = P x on the unknown states, 0 elsewhere
+    x = _solve_at_initial(P, ~prob0 & ~prob1,
+                          np.where(prob1[:, None, :], P, 0.0).sum(axis=2), chain.initial)
+    return _per_chain(chain, np.clip(np.where(prob1[:, chain.initial], 1.0, x), 0.0, 1.0))
 
 
 def expected_reward_to_absorption(chain, targets):
@@ -215,22 +222,15 @@ def expected_reward_to_absorption(chain, targets):
     surely, which the support graph decides."""
     is_target = _label_mask(chain, targets)
     P = _stack(chain)
-    n = P.shape[1]
     # per-state one-step expected reward
     r = (P * chain.R).sum(axis=2)
+    _, sure = _prob01(P > 0.0, np.zeros(P.shape[1], dtype=bool), is_target)
+    # y = r + P y over the states that reach the target set almost surely;
+    # their successors are targets or such states, and y = 0 on targets
+    solved = np.flatnonzero(sure[:, chain.initial])
     y = np.full(len(P), math.inf)
-    for edge, members in _groups(P > 0.0):
-        _, sure = _prob01(edge, np.zeros(n, dtype=bool), is_target)
-        if not sure[chain.initial]:
-            continue
-        # y = r + P y over the states that reach the target set almost
-        # surely; their successors are targets or such states, and y = 0 on targets
-        full = np.zeros((len(members), n))
-        rel = np.flatnonzero(sure & ~is_target)
-        if len(rel):
-            full[:, rel] = _solve(np.eye(len(rel)) - P[np.ix_(members, rel, rel)],
-                                  r[np.ix_(members, rel)], members)
-        y[members] = full[:, chain.initial]
+    y[solved] = _solve_at_initial(P[solved], sure[solved] & ~is_target, r[solved],
+                                  chain.initial, solved)
     return _per_chain(chain, y)
 
 

@@ -80,6 +80,14 @@ class TestConfig:
         with pytest.raises(harness.HarnessError, match="steps must be a positive integer"):
             harness.ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("sizes", [(40, 10, 10), (40, 10, 10, 10, 10), (40, 0, 10, 10),
+                                       (40, 10, 2.5, 10), ("40", 10, 10, 10), 40])
+    def test_dataset_sizes_must_be_four_positive_integers(self, tmp_path, sizes):
+        # rejected when the config is built, before any training
+        with pytest.raises(harness.HarnessError,
+                           match="dataset_sizes must be four positive integers"):
+            small_config(tmp_path, tmp_path / "t.csv", method="no", dataset_sizes=sizes)
+
     def test_config_hash_covers_training_and_grid(self, tmp_path):
         cfg = small_config(tmp_path, tmp_path / "t.csv")
         base = harness._config_hash(cfg)
@@ -455,6 +463,39 @@ class TestSummarize:
         with pytest.raises(harness.HarnessError, match="incomplete"):
             harness.summarize([str(tmp_path)])
 
+    @staticmethod
+    def run_dir(tmp_path, metadata='{"method": "no", "environment": "us"}',
+                metrics="metric,value\naccuracy,0.5\nsafety_rate,0.9\n"
+                        "mean_step_time,12.0\nrepairs_accepted,0\n"):
+        d = tmp_path / "run"
+        d.mkdir()
+        # a lone surrogate escape writes a byte that is not UTF-8
+        (d / "metadata.json").write_bytes(metadata.encode("utf-8", "surrogateescape"))
+        (d / "metrics.csv").write_bytes(metrics.encode("utf-8", "surrogateescape"))
+        return str(d)
+
+    def test_written_run_dir_is_read(self, tmp_path):
+        _, rows = harness.summarize([self.run_dir(tmp_path)])
+        assert rows == [["run", "no", "us", "0.5", "0.9", "12.0", "0"]]
+
+    @pytest.mark.parametrize("files,message", [
+        pytest.param({"metadata": "{}"}, r"metadata\.json: missing key 'method'$",
+                     id="empty-metadata"),
+        pytest.param({"metrics": "metric,value\n"}, r"metrics\.csv: missing key 'accuracy'$",
+                     id="header-only-metrics"),
+        pytest.param({"metadata": '{"method": "no",'}, r"metadata\.json: malformed: Expecting",
+                     id="malformed-json"),
+        pytest.param({"metrics": "metric,value\naccuracy,\udcff\n"},
+                     r"metrics\.csv: malformed: 'utf-8' codec", id="not-utf-8"),
+        pytest.param({"metrics": "metric,value\naccuracy,0.5,0.6\n"},
+                     r"metrics\.csv: line 2: expected 2 columns \(metric, value\), got 3$",
+                     id="wrong-column-count"),
+    ])
+    def test_bad_run_file_is_an_input_error(self, tmp_path, files, message):
+        d = self.run_dir(tmp_path, **files)
+        with pytest.raises(harness.HarnessError, match=re.escape(d) + "/" + message):
+            harness.summarize([d])
+
     def test_empty_input_rejected(self):
         with pytest.raises(harness.HarnessError):
             harness.summarize([])
@@ -628,6 +669,22 @@ class TestCli:
         self.assert_usage_error(capsys, argv, message)
         assert not (tmp_path / "out").exists()
         assert train_calls == []                # rejected before any training
+
+    def test_simulate_rejects_three_dataset_sizes(self, capsys, tmp_path, train_calls):
+        path = self.small_config_file(tmp_path, dataset_sizes=[40, 10, 10])
+        self.assert_usage_error(capsys, ["simulate", "--config", path],
+                                r"colavoid: error: dataset_sizes must be four positive "
+                                r"integers .*got \(40, 10, 10\)")
+        assert not (tmp_path / "out").exists()
+        assert train_calls == []                # rejected before any training
+
+    def test_summarize_bad_run_is_one_line(self, capsys, tmp_path):
+        run = tmp_path / "bad"
+        run.mkdir()
+        (run / "metrics.csv").write_text("metric,value\n")
+        (run / "metadata.json").write_text("{}")
+        self.assert_usage_error(capsys, ["summarize", str(run)],
+                                "colavoid: error: .*metadata.json: missing key 'method'")
 
     def test_compare_command(self, capsys, tmp_path):
         # "sa" needs a monitoring period within the budget

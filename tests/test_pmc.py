@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from colavoid import pmc, synthesis, uq
 from colavoid.pdtmc import ModelConstants, ModelError, instantiate, reference_model
@@ -403,3 +403,83 @@ class TestClosedFormOracle:
                                         "c1": 4.02e-67, "c2": 0.0})
         with pytest.raises(pmc.CheckError, match="singular system after precomputation"):
             pmc.until_probability(stack, "collision", "done")
+
+
+#: a rate that is often exactly 0 or 1, where the support pattern changes
+edge_rate = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+
+
+class TestOnePass:
+    """A stack is checked in one pass: one padded solve per query, and each
+    member keeps the bits and the guard it has alone."""
+
+    @pytest.mark.parametrize("size,solves", [(11, 2), (101, 160)])
+    def test_one_solve_per_query_per_stack(self, monkeypatch, ref_model, u_initial,
+                                           default_specs, size, solves):
+        calls, solve = [], np.linalg.solve
+
+        def counted(A, b):
+            calls.append(A.shape)
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        synthesis.synthesize(u_initial, ref_model, synthesis.ParamSpace(counts=(size, size)),
+                             *default_specs, base_valuation=ModelConstants().valuation())
+        # two queries, each one solve per stack of STACK_SIZE candidates
+        assert len(calls) == solves == 2 * math.ceil(size * size / pmc.STACK_SIZE)
+
+    def test_reward_guard_names_the_member_in_the_chain(self, monkeypatch, ref_model,
+                                                        u_initial):
+        # member 0 never absorbs, so it is not solved; members 1 and 3 share
+        # a support pattern and member 2 (c1 = 1) has its own
+        c1, c2 = np.array([0.0, 0.3, 1.0, 0.5]), np.array([0.0, 0.1, 0.0, 0.2])
+        stack = instantiate(ref_model, ref_valuation(u_initial, c1, c2, p_collider=1.0))
+        time = pmc.expected_reward_to_absorption(stack, {"done", "collision"})
+        assert time[0] == math.inf and np.isfinite(time[1:]).all()
+        solve = np.linalg.solve
+
+        def perturbed(A, b):
+            x = solve(A, b)
+            x[1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        # the second solved system is member 2's
+        with pytest.raises(pmc.CheckError, match=r"^member 2: linear solve backward error"):
+            pmc.expected_reward_to_absorption(stack, {"done", "collision"})
+
+    def test_padding_rows_do_not_enter_the_norm(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def perturbed(A, b):
+            x = solve(A, b)
+            x[0, 0] += 1e-11
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        # a 1 x 1 system 1e-3 x = 1e-3 padded with one identity row: the
+        # error is 1e-14 over 2e-3 on its own row, 1e-14 over about 1 with
+        # the filler row in the norm
+        A, b = np.array([[[1e-3, 0.0], [0.0, 1.0]]]), np.array([[1e-3, 0.0]])
+        pmc._solve(A, b)
+        with pytest.raises(pmc.CheckError, match=r"^member 0: linear solve backward error 5"):
+            pmc._solve(A, b, own=np.array([[True, False]]))
+
+    @given(members=st.lists(st.tuples(edge_rate, edge_rate, edge_rate, edge_rate, edge_rate),
+                            min_size=1, max_size=6),
+           p_occ=unit)
+    @settings(max_examples=200, deadline=None)
+    def test_member_bits_match_alone(self, ref_model, members, p_occ):
+        names = ("p_collider", "p00", "p11", "c1", "c2")
+        alone = []
+        for values in members:
+            chain = instantiate(ref_model, {"p_occ": p_occ, **dict(zip(names, values))})
+            try:
+                alone.append((pmc.until_probability(chain, "collision", "done"),
+                              pmc.expected_reward_to_absorption(chain, {"done", "collision"})))
+            except pmc.CheckError:
+                reject()        # ill-posed alone: a round exit near zero
+        stack = instantiate(ref_model, {"p_occ": p_occ, **dict(zip(names, np.array(members).T))})
+        safety = pmc.until_probability(stack, "collision", "done")
+        time = pmc.expected_reward_to_absorption(stack, {"done", "collision"})
+        assert list(zip(safety, time)) == alone
