@@ -22,7 +22,8 @@ from .synthesis import ParamSpace
 
 #: errors of the input of `check` and `synthesize` (their files and values),
 #: which `main` reports as a usage error rather than a traceback
-INPUT_ERRORS = (OSError, ModelError, uq.QuantifyError, synthesis.SynthesisError)
+INPUT_ERRORS = (OSError, ModelError, pmc.CheckError, uq.QuantifyError,
+                synthesis.SynthesisError)
 #: errors of building the config of `simulate` and `compare` from the
 #: --config file and the flags; an error of the run itself still raises
 CONFIG_ERRORS = (OSError, ValueError, TypeError, HarnessError, MonitorError, ModelError,

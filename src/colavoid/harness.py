@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise HarnessError(f"unknown method {self.method!r}")
         if self.environment not in ENVIRONMENTS:
             raise HarnessError(f"unknown environment {self.environment!r}")
+        if self.train_config.seed != 0:
+            raise HarnessError("train.seed is not read: the training seed is derived "
+                               f"from seed, got train.seed={self.train_config.seed!r}")
         if self.method == "sa" and self.steps < self.monitor.t_monitor:
             raise HarnessError("step budget must cover at least one monitoring period")
         sizes = self.dataset_sizes

@@ -181,7 +181,8 @@ class Monitor:
         both start with the query count.  The trace row holds the step's last
         prediction and truth and the window and period figures; its repair
         flag is set by close_period."""
-        self.steps.append([self.queries, rec.outcome, rec.elapsed, rec.waits, rec.queries])
+        self.steps.append([self.queries, rec.outcome, rec.elapsed, rec.waits,
+                           len(rec.observations)])
         _, prediction, truth = rec.observations[-1] if rec.observations else ("", "", "")
         acc = self.window_accuracy() if self.window else ""
         self._trace.append([self.queries, prediction, truth, acc,

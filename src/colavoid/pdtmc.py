@@ -46,11 +46,11 @@ class ModelSyntaxError(ModelError):
 _ALPHABET = re.compile(r"[\w\s.()+\-*]*", re.ASCII)
 _NUMERAL = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?")
 
-#: symbol and closure builder of each binary operator of the grammar
+#: closure builder of each binary operator of the grammar
 _BINOPS = {
-    ast.Add: ("+", lambda f, g: lambda v: f(v) + g(v)),
-    ast.Sub: ("-", lambda f, g: lambda v: f(v) - g(v)),
-    ast.Mult: ("*", lambda f, g: lambda v: f(v) * g(v)),
+    ast.Add: lambda f, g: lambda v: f(v) + g(v),
+    ast.Sub: lambda f, g: lambda v: f(v) - g(v),
+    ast.Mult: lambda f, g: lambda v: f(v) * g(v),
 }
 
 
@@ -59,7 +59,7 @@ class ParamExpr:
     """Expression over decimal numerals, parameters, +, - and *, compiled to
     closures once; `evaluate` accepts floats or numpy arrays as values."""
 
-    text: str                                           # canonical: parse_expr(text) == self
+    text: str                                           # the stripped source text
     evaluate: object = field(compare=False, repr=False)  # valuation -> value
     names: frozenset = field(compare=False)             # parameters referenced
 
@@ -67,28 +67,13 @@ class ParamExpr:
         return self.text
 
 
-def format_number(x):
-    """Render a float compactly; integers lose the trailing '.0'."""
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
 def _compile(node, text, line_no):
-    """(closure over a valuation, canonical text) of one checked node;
-    ModelSyntaxError for a node outside the grammar."""
+    """Closure over a valuation of one checked node; ModelSyntaxError for a
+    node outside the grammar."""
     source = ast.get_source_segment(text, node)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        symbol, build = _BINOPS[type(node.op)]
-        left, left_text = _compile(node.left, text, line_no)
-        right, right_text = _compile(node.right, text, line_no)
-        # the grammar is left-associative: a compound right operand, and a
-        # compound left operand of '*', need parentheses
-        if isinstance(node.left, ast.BinOp) and symbol == "*":
-            left_text = f"({left_text})"
-        if isinstance(node.right, ast.BinOp):
-            right_text = f"({right_text})"
-        return build(left, right), f"{left_text} {symbol} {right_text}"
+        return _BINOPS[type(node.op)](_compile(node.left, text, line_no),
+                                      _compile(node.right, text, line_no))
     if isinstance(node, ast.Name):
         name = node.id
 
@@ -97,12 +82,12 @@ def _compile(node, text, line_no):
                 return valuation[name]
             except KeyError:
                 raise ModelError(f"no value for parameter '{name}'") from None
-        return param, name
+        return param
     if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(source):
         value = float(source)
         if not math.isfinite(value):
             raise ModelSyntaxError(f"numeral {source!r} overflows", line_no)
-        return (lambda valuation: value), format_number(value)
+        return lambda valuation: value
     raise ModelSyntaxError(f"unsupported {source!r} in expression {text!r}", line_no)
 
 
@@ -116,8 +101,7 @@ def parse_expr(text, line_no=0):
         tree = ast.parse(text, mode="eval")
     except SyntaxError:
         raise ModelSyntaxError(f"malformed expression {text!r}", line_no) from None
-    fn, canonical = _compile(tree.body, text, line_no)
-    return ParamExpr(canonical, fn,
+    return ParamExpr(text, _compile(tree.body, text, line_no),
                      frozenset(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)))
 
 
@@ -166,14 +150,6 @@ class PDTMC:
             self.R[index[src], index[dst]] = reward
         self.labels = {label: np.array([label in self.states[s] for s in self.names])
                        for label in set().union(*self.states.values())}
-
-    def __eq__(self, other):
-        if not isinstance(other, PDTMC):
-            return NotImplemented
-        return (self.states == other.states and self.initial == other.initial
-                and self.rewards == other.rewards and self.params == other.params
-                and {(t.src, t.dst, str(t.expr)) for t in self.transitions}
-                == {(t.src, t.dst, str(t.expr)) for t in other.transitions})
 
 
 @dataclass
@@ -294,23 +270,6 @@ def parse_model(text, constants=None):
         raise ModelSyntaxError(f"initial state '{initial}' is not declared", init_line)
     return PDTMC(states=states, initial=initial, transitions=transitions,
                  rewards=rewards, params=params)
-
-
-def serialize_model(model):
-    """Render a PDTMC back to the text format; parse(serialize(m)) == m."""
-    lines = []
-    for decl in model.params.values():
-        lines.append(f"param {decl.name} in [{format_number(decl.lo)},{format_number(decl.hi)}];")
-    for name in model.states:
-        labels = sorted(model.states[name])
-        suffix = f" [{','.join(labels)}]" if labels else ""
-        lines.append(f"state {name}{suffix};")
-    lines.append(f"init {model.initial};")
-    for t in model.transitions:
-        lines.append(f"trans {t.src} -> {t.dst} : {t.expr};")
-    for (src, dst), r in model.rewards.items():
-        lines.append(f"reward {src} -> {dst} : {format_number(r)};")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -154,17 +154,6 @@ def _gradients(weights, acts, p, y, grads_w, grads_b):
             dz *= acts[i] > 0.0
 
 
-def loss_and_gradients(params, X_std, y):
-    """Mean BCE loss and its gradients w.r.t. every weight and bias.
-
-    X_std must already be standardized.
-    """
-    acts, p = _forward_pass(params.weights, params.biases, X_std)
-    _, grads_w, grads_b = _flat(params.weights, params.biases)
-    _gradients(params.weights, acts, p, y, grads_w, grads_b)
-    return _bce_loss(p[:, 0], y), grads_w, grads_b
-
-
 def dataset_loss(params, X_std, y):
     """Mean BCE loss over a standardized dataset matrix."""
     _, p = _forward_pass(params.weights, params.biases, X_std)

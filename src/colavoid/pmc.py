@@ -7,8 +7,7 @@ almost-sure reachability) followed by a dense linear solve.  Both also
 take a stack of chains and check it in one pass: one precomputation over
 the whole support stack and one stacked solve, each member's system the
 leading block of an identity-padded matrix.  A single chain is the stack of
-one, and a member gets the bits it gets alone.  A Monte-Carlo path sampler
-acts as an independent oracle for testing.
+one, and a member gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .pdtmc import instantiate
 
 #: largest normwise backward error a linear solve may leave, of order n * eps
 RESIDUAL_TOL = 1e-12
-PATH_STEP_CAP = 1_000_000
 #: candidates per stack in quantify_candidates; bounds the memory of a large grid
 STACK_SIZE = 128
 
@@ -94,30 +92,15 @@ class QRTable:
 # ---------------------------------------------------------------------------
 
 def _backward_reachable(edge, sources, allowed):
-    """Mask of the states in `allowed` from which some state of the mask
-    `sources` is reachable through `allowed` states (sources included), over
-    the boolean support matrix `edge`, or per member of a stack of them."""
+    """(K, n) mask of the states in `allowed` from which some state of the
+    mask `sources` is reachable through `allowed` states (sources included),
+    per member of the (K, n, n) boolean support stack `edge`."""
     reached = sources
     while True:
         grown = reached | (allowed & (edge @ reached[..., None])[..., 0])
         if (grown == reached).all():
             return grown
         reached = grown
-
-
-def _check_absorbing(chain, stop, what):
-    """Raise when a state reachable from the initial state without entering
-    the `stop` set cannot reach that set, so a sampled path could stay out
-    forever."""
-    P, start = chain.P, chain.initial
-    if stop[start]:
-        return
-    outside = _backward_reachable(P.T > 0.0, np.arange(len(P)) == start, ~stop)
-    reaches = _backward_reachable(P > 0.0, stop, np.ones(len(P), dtype=bool))
-    stuck = [chain.names[i] for i in np.flatnonzero(outside & ~reaches)]
-    if stuck:
-        raise CheckError(f"chain is not absorbing: states {stuck} reachable from "
-                         f"{chain.names[start]!r} cannot reach the {what} states")
 
 
 def _label_mask(chain, labels):
@@ -232,53 +215,6 @@ def expected_reward_to_absorption(chain, targets):
     y[solved] = _solve_at_initial(P[solved], sure[solved] & ~is_target, r[solved],
                                   chain.initial, solved)
     return _per_chain(chain, y)
-
-
-def simulate_chain(chain, n, seed, avoid="collision", target="done",
-                   reward_targets=("done", "collision"), with_std=False):
-    """Monte-Carlo oracle: sample `n` paths to absorption and report the
-    empirical (until probability, mean reward to the reward-target set).
-
-    With with_std=True a third element gives the sample standard deviation
-    of the per-path rewards, for confidence-bound construction."""
-    if n < 1:
-        raise CheckError("need at least one path")
-    P, R = chain.P, chain.R
-    rng = np.random.default_rng(seed)
-    is_target = _label_mask(chain, [target])
-    is_avoid = _label_mask(chain, [avoid]) & ~is_target
-    is_reward_stop = _label_mask(chain, reward_targets)
-    _check_absorbing(chain, is_target | is_avoid, f"{target}/{avoid}")
-    _check_absorbing(chain, is_reward_stop, "|".join(reward_targets))
-
-    n_states = len(P)
-    cum = np.cumsum(P, axis=1)
-    # all paths advance in lockstep; a path stops once its until verdict is
-    # known and it has entered the reward-target set
-    s = np.full(n, chain.initial)
-    verdict = np.zeros(n, dtype=np.int8)          # 0 unknown, 1 sat, -1 unsat
-    collecting = np.ones(n, dtype=bool)
-    rewards = np.zeros(n)
-    for _ in range(PATH_STEP_CAP):
-        verdict = np.where((verdict == 0) & is_target[s], 1, verdict)
-        verdict = np.where((verdict == 0) & is_avoid[s], -1, verdict)
-        collecting &= ~is_reward_stop[s]
-        active = ~((verdict != 0) & ~collecting)
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        draws = rng.random(len(idx))
-        nxt = (cum[s[idx]] < draws[:, None]).sum(axis=1)
-        nxt = np.minimum(nxt, n_states - 1)
-        take = collecting[idx]
-        rewards[idx[take]] += R[s[idx][take], nxt[take]]
-        s[idx] = nxt
-    else:
-        raise CheckError(f"paths hit the {PATH_STEP_CAP}-step cap; chain may not be absorbing")
-    if with_std:
-        return (float(np.mean(verdict == 1)), float(np.mean(rewards)),
-                float(np.std(rewards, ddof=1)) if n > 1 else 0.0)
-    return float(np.mean(verdict == 1)), float(np.mean(rewards))
 
 
 def quantify_candidates(model, u, grid, state_specs, reward_specs, base_valuation=None):

@@ -121,15 +121,14 @@ def ground_truth_labels(X, cfg=OracleConfig()):
     return hit.astype(int)
 
 
-def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345, cfg=None):
-    """Bisect the collision radius so the uniform positive rate hits `target`."""
-    base = cfg or OracleConfig()
+def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345):
+    """Bisect the collision radius so the uniform positive rate hits `target`;
+    the oracle's other settings are OracleConfig's defaults."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(_LO, _HI, size=(n, 5))
 
     def rate(radius):
-        c = OracleConfig(base.dt, base.horizon, radius, base.robot_speed)
-        return int(ground_truth_labels(points, c).sum()) / n
+        return int(ground_truth_labels(points, OracleConfig(radius=radius)).sum()) / n
 
     lo, hi = 0.05, 6.0
     for _ in range(40):
@@ -359,8 +358,7 @@ class StepRecord:
     outcome: str             # "done" | "collision"
     elapsed: float
     waits: int
-    queries: int
-    observations: list       # of (trace row, prediction, truth) ints
+    observations: list       # one (trace row, prediction, truth) per query
 
 
 #: Trace rows per batched forward pass of World; a divisor of LABEL_CHUNK.
@@ -414,11 +412,11 @@ class World:
             self.cursor = row + 1
             if not present:
                 return StepRecord("done", waits * self.t_wait + self.t_move,
-                                  waits, len(observations), observations)
+                                  waits, observations)
             observations.append((row, prediction, label))
             move_prob = runtime.move_probability(prediction)
             if rng.random() < move_prob:
                 outcome = "collision" if label == 1 else "done"
                 return StepRecord(outcome, waits * self.t_wait + self.t_move,
-                                  waits, len(observations), observations)
+                                  waits, observations)
             waits += 1

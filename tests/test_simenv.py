@@ -444,7 +444,7 @@ class TestWorld:
         world = simenv.World(self.trace((False, 0)))
         rec = world.step(ScriptedRuntime([0]), np.random.default_rng(0))
         assert rec.outcome == "done"
-        assert rec.elapsed == 10.0 and rec.waits == 0 and rec.queries == 0
+        assert rec.elapsed == 10.0 and rec.waits == 0 and rec.observations == []
 
     def test_move_into_collider_collides(self):
         world = simenv.World(self.trace((True, 1)))
@@ -460,7 +460,7 @@ class TestWorld:
         assert rec.outcome == "done"
         assert rec.waits == 2
         assert rec.elapsed == 2 * 2.0 + 10.0
-        assert rec.queries == 2
+        assert len(rec.observations) == 2
         assert world.cursor == 3
 
     def test_trace_exhaustion_reported(self):
