@@ -4,7 +4,10 @@ Replaces a physics engine with a closed-form unicycle oracle: the moving
 robot advances from the origin along the +x2 axis at 1 unit/s for one
 10-unit grid step while the collider integrates unicycle kinematics; the
 ground-truth label is 1 iff the two come within the collision radius at
-any sampled instant.
+any sampled instant.  `ground_truth_labels` gives the same labels for a
+batch: it decides most instants by squared distance, outside a 1e-6 band
+around the radius, and drops rows from its arrays once they have hit or can
+no longer reach the robot's remaining path.
 
 A benchmark trace is a `Trace`: three arrays, `present` (bool), `X`
 (n x 5 float) and `label` (int8), and nothing else.  A trace file is read
@@ -66,7 +69,9 @@ class OracleConfig:
     robot_speed: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < self.dt or self.radius <= 0:
+        values = (self.dt, self.horizon, self.radius, self.robot_speed)
+        if (not all(math.isfinite(v) for v in values) or self.dt <= 0
+                or self.horizon < self.dt or self.radius <= 0):
             raise EnvError("bad oracle configuration")
 
 
@@ -88,35 +93,117 @@ def ground_truth_label(c, cfg=OracleConfig()):
 
 
 #: Situations the trace generator draws, labels and emits together; bounds
-#: the batched oracle's temporaries to a few arrays of this length.
+#: the batched oracle's buffers to a few arrays of this length.
 LABEL_CHUNK = 4096
 
+#: Instants between the batched oracle's retirements of settled rows.
+RETIRE_EVERY = 4
+#: Relative margin around the radius of the batched oracle's squared-distance
+#: test and of its reach bound.
+_MARGIN = 1e-6
 
+
+@np.errstate(over="ignore")
 def ground_truth_labels(X, cfg=OracleConfig()):
     """Batched ground_truth_label over the rows (x1..x5) of X; array of 0/1.
 
-    Steps every state through the same recurrence with the same operation
-    order.  np.hypot and math.hypot may differ by one ulp, so a state whose
-    distance comes within two ulps of the radius at any instant is relabelled
-    by the scalar oracle; the two oracles agree bit for bit.
+    Steps every live row through the same recurrence with the same operation
+    order, so its position at an instant has the scalar oracle's bits.  The
+    radius test compares the squared distance s = x1^2 + (x2 - ry)^2 with
+    the radius narrowed and widened by _MARGIN: s < (r(1 - 1e-6))^2 is a
+    hit, s > (r(1 + 1e-6))^2 is neither hit nor near, and only a row in the
+    band between gets the exact test, np.hypot against r.  np.hypot and
+    math.hypot may differ by one ulp, so a row whose distance comes within
+    two ulps of the radius at any instant is relabelled by the scalar
+    oracle.  A NaN s is in no test: its distance is NaN or infinite; an s
+    that overflows is inf, outside the band, so overflow is not warned of.
+
+    Every RETIRE_EVERY instants settled rows leave the arrays.  A row that
+    has hit keeps label 1: should it come near later, the scalar oracle
+    returns 1 at or before that hit.  A row further from the robot's
+    remaining path (x1 = 0, x2 between ry and its last position) than
+    |x4| (steps - k) dt (1 + 1e-9) + r (1 + 1e-6) can neither hit nor come
+    near.  The two oracles agree bit for bit; a label costs about 3.4 µs
+    instead of 8 (README, Performance).
     """
     X = np.asarray(X, dtype=float).reshape(-1, 5)
-    steps = int(round(cfg.horizon / cfg.dt))
-    tie = 2.0 * np.spacing(cfg.radius)
-    px, py, theta = X[:, 0].copy(), X[:, 1].copy(), X[:, 2].copy()
-    x4, x5 = X[:, 3], X[:, 4]
-    hit = np.zeros(len(X), dtype=bool)
-    near = np.zeros(len(X), dtype=bool)
+    n, steps = len(X), int(round(cfg.horizon / cfg.dt))
+    r, dt, speed = cfg.radius, cfg.dt, cfg.robot_speed
+    tie = 2.0 * np.spacing(r)
+    end = speed * (steps * dt)
+    # The margins dwarf the float error of the recurrence only while r^2 is
+    # a normal float and the rounding that the positions gather over the
+    # steps is far below 1e-6 r; otherwise every row gets the exact test and
+    # only rows that hit retire.
+    sound = r > 1e-100 and steps * (abs(end) + r) < 1e6 * r
+    if sound:
+        inner, outer = (r * (1 - _MARGIN)) ** 2, (r * (1 + _MARGIN)) ** 2
+    else:
+        inner, outer = -np.inf, np.inf
+    state, spare = np.empty((2, 6, n))     # px, py, theta, x4, x5 dt, row index
+    state[:5] = X.T
+    state[4] *= dt
+    state[5] = np.arange(n)
+    dy, sq, tmp = np.empty((3, n))
+    inside, band = np.empty((2, n), dtype=bool)
+    hit_live = np.zeros(n, dtype=bool)     # the live rows that have hit
+    hit, near = np.zeros((2, n), dtype=bool)
+    m = n
     for k in range(steps + 1):
-        t = k * cfg.dt
-        ry = cfg.robot_speed * t
-        dist = np.hypot(px, py - ry)
-        hit |= dist < cfg.radius
-        near |= np.abs(dist - cfg.radius) <= tie
-        px += x4 * np.cos(theta) * cfg.dt
-        py += x4 * np.sin(theta) * cfg.dt
-        theta += x5 * cfg.dt
-    for i in np.nonzero(near)[0]:
+        ry = speed * (k * dt)
+        if k % RETIRE_EVERY == 0 and 0 < k < steps:
+            settled = hit_live[:m]
+            hit[state[5, :m][settled].astype(np.intp)] = True
+            if sound:
+                px, py, off, d2, reach, far = (state[0, :m], state[1, :m], dy[:m], sq[:m],
+                                               tmp[:m], band[:m])
+                np.clip(py, min(ry, end), max(ry, end), out=off)
+                np.subtract(py, off, out=off)
+                np.multiply(off, off, out=off)
+                np.multiply(px, px, out=d2)
+                np.add(d2, off, out=d2)
+                np.abs(state[3, :m], out=reach)
+                np.multiply(reach, (steps - k) * dt * (1 + 1e-9), out=reach)
+                np.add(reach, r * (1 + _MARGIN), out=reach)
+                np.multiply(reach, reach, out=reach)
+                np.greater(d2, reach, out=far)
+                np.logical_or(settled, far, out=settled)
+            keep = np.flatnonzero(np.logical_not(settled, out=settled))
+            for a, b in zip(state, spare):     # mode "raise" would copy via a temporary
+                np.take(a[:m], keep, out=b[:len(keep)], mode="clip")
+            state, spare = spare, state
+            m = len(keep)
+            hit_live[:m] = False
+            if not m:
+                break
+        px, py, theta, x4, w = (a[:m] for a in state[:5])
+        d, q, c, now, b = dy[:m], sq[:m], tmp[:m], inside[:m], band[:m]
+        np.subtract(py, ry, out=d)
+        np.multiply(px, px, out=q)
+        np.multiply(d, d, out=c)
+        np.add(q, c, out=q)
+        np.less(q, inner, out=now)
+        np.logical_or(hit_live[:m], now, out=hit_live[:m])
+        np.less_equal(q, outer, out=b)
+        np.not_equal(b, now, out=b)
+        if np.count_nonzero(b):
+            j = np.flatnonzero(b)
+            dist = np.hypot(px[j], d[j])
+            hit_live[j[dist < r]] = True
+            near[state[5, j[np.abs(dist - r) <= tie]].astype(np.intp)] = True
+        if k == steps:
+            break
+        np.cos(theta, out=c)
+        np.multiply(c, x4, out=c)
+        np.multiply(c, dt, out=c)
+        np.add(px, c, out=px)
+        np.sin(theta, out=c)
+        np.multiply(c, x4, out=c)
+        np.multiply(c, dt, out=c)
+        np.add(py, c, out=py)
+        np.add(theta, w, out=theta)
+    hit[state[5, :m][hit_live[:m]].astype(np.intp)] = True
+    for i in np.flatnonzero(near):
         hit[i] = ground_truth_label(ColliderState(*X[i].tolist()), cfg)
     return hit.astype(int)
 
@@ -252,15 +339,22 @@ class Trace:
 
     def extend_to(self, n):
         """Draw chunks until the trace holds at least n rows; TraceExhausted
-        when n exceeds the cap."""
+        when n exceeds the cap.  The arrays are reallocated once per call
+        and the chunks drawn into them, not re-concatenated per chunk."""
         if n > self.cap:
             where = f"trace file {self.path}" if self.path else "trace"
             raise TraceExhausted(f"{where} has {self.cap} rows; the run needs more")
-        while self.held < n:
-            present, X, label = self.source(min(LABEL_CHUNK, self.cap - self.held))
-            self.present = np.concatenate([self.present, present])
-            self.X = np.concatenate([self.X, X])
-            self.label = np.concatenate([self.label, label.astype(np.int8)])
+        held = self.held
+        if held >= n:
+            return
+        size = min(self.cap, held + math.ceil((n - held) / LABEL_CHUNK) * LABEL_CHUNK)
+        present = np.empty(size, dtype=bool)
+        X, label = np.empty((size, 5)), np.empty(size, dtype=np.int8)
+        present[:held], X[:held], label[:held] = self.present, self.X, self.label
+        for start in range(held, size, LABEL_CHUNK):
+            part = slice(start, min(start + LABEL_CHUNK, size))
+            present[part], X[part], label[part] = self.source(part.stop - start)
+        self.present, self.X, self.label = present, X, label
 
 
 def lazy_trace(cap, p_collider, gen, seed, oracle=OracleConfig()):

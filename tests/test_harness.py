@@ -23,7 +23,7 @@ def small_config(out_dir, trace_path, method="sa", **kw):
         param_space=ParamSpace(counts=(6, 6)),
         train_config=TrainConfig(epochs=15),
         dataset_sizes=(400, 100, 100, 100),
-        trace_path=str(trace_path))
+        trace_path=None if trace_path is None else str(trace_path))
     defaults.update(kw)
     return harness.ExperimentConfig(**defaults)
 
@@ -350,6 +350,7 @@ class TestComparison:
                         == open(os.path.join(shared, name), "rb").read()), (method, name)
 
     def test_setup_is_built_once_and_left_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = small_config(tmp_path, None, steps=1300, dataset_sizes=(200, 60, 60, 60),
                            train_config=TrainConfig(epochs=5),
                            param_space=ParamSpace(counts=(4, 4)))
@@ -382,6 +383,8 @@ class TestComparison:
         after = arrays(init)
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        # no trace path means no trace file, not one named "None"
+        assert cfg.trace_path is None and not (tmp_path / "None").exists()
 
 
 class TestTraceAccounting:
@@ -718,6 +721,16 @@ class TestCli:
         self.assert_usage_error(capsys, argv, message)
         assert not (tmp_path / "out").exists()
         assert train_calls == []                # rejected before any training
+
+    def test_non_finite_oracle_setting_is_one_line(self, capsys, tmp_path, monkeypatch,
+                                                   train_calls):
+        # JSON's NaN parses; the oracle config rejects it before any training
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.json").write_text('{"method": "no", "oracle": {"radius": NaN}}')
+        self.assert_usage_error(capsys, ["simulate", "--config", "nan.json", "--out", "out"],
+                                "colavoid: error: bad oracle configuration")
+        assert not (tmp_path / "out").exists()
+        assert train_calls == []
 
     def test_simulate_rejects_three_dataset_sizes(self, capsys, tmp_path, train_calls):
         path = self.small_config_file(tmp_path, dataset_sizes=[40, 10, 10])

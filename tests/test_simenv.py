@@ -93,30 +93,62 @@ class TestOracle:
             simenv.OracleConfig(dt=0.0)
         with pytest.raises(simenv.EnvError):
             simenv.OracleConfig(radius=-1.0)
+        for name in ("dt", "horizon", "radius", "robot_speed"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(simenv.EnvError):
+                    simenv.OracleConfig(**{name: value})
 
 
+#: The input ranges, with speeds (x4) also negative and above 2.
 STATES = st.tuples(*(st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-                      for lo, hi in INPUT_RANGES))
+                      for lo, hi in INPUT_RANGES[:3] + ((-4.0, 4.0),) + INPUT_RANGES[4:]))
 ORACLES = (simenv.OracleConfig(),
            simenv.OracleConfig(radius=simenv.CALIBRATED_RADIUS),
-           simenv.OracleConfig(dt=0.25, horizon=7.0, radius=0.8))
+           simenv.OracleConfig(dt=0.25, horizon=7.0, radius=0.8),
+           simenv.OracleConfig(robot_speed=-1.0, radius=simenv.CALIBRATED_RADIUS),
+           simenv.OracleConfig(robot_speed=2.0, dt=0.05))
 
 
 def scalar_labels(rows, cfg):
     return [simenv.ground_truth_label(simenv.ColliderState(*r), cfg) for r in rows]
 
 
+def nudged(x, ulps):
+    """x moved by a whole number of ulps."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.inf if ulps > 0 else -math.inf))
+    return x
+
+
 def at_radius(cfg, angles, ulps):
     """States whose distance from the robot at t = 0 is the radius, nudged
     by a whole number of ulps, that then move with the given heading."""
+    return [(cfg.radius * math.cos(a), nudged(cfg.radius * math.sin(a), k), a, 1.0, 0.3)
+            for a in angles for k in ulps]
+
+
+def late_entries(cfg, speeds, ulps):
+    """States that cross the robot's last position at full speed along x1:
+    from x1 = -(|v| steps dt + r), nudged by whole ulps, they come within
+    the radius at the last instant or miss it by ulps.  At each retirement
+    they sit at the edge of the reach bound, far from the robot's current
+    position; a negative speed heads along x3 = pi."""
+    steps = round(cfg.horizon / cfg.dt)
+    end = cfg.robot_speed * (steps * cfg.dt)
+    return [(nudged(-(abs(v) * steps * cfg.dt + cfg.radius), k), end,
+             0.0 if v > 0 else math.pi, v, 0.0) for v in speeds for k in ulps]
+
+
+def band_after_hit(cfg, ulps):
+    """Still states that the robot drives through, so they hit, and whose
+    distance at a later instant is the radius nudged by whole ulps."""
+    steps = round(cfg.horizon / cfg.dt)
     rows = []
-    for a in angles:
-        for k in ulps:
-            x1 = cfg.radius * math.cos(a)
-            x2 = cfg.radius * math.sin(a)
-            for _ in range(abs(k)):
-                x2 = float(np.nextafter(x2, math.inf if k > 0 else -math.inf))
-            rows.append((x1, x2, a, 1.0, 0.3))
+    for j in (steps // 2, steps - 1, steps):
+        ry = cfg.robot_speed * (j * cfg.dt)
+        for x1 in (0.0, 0.3 * cfg.radius, -0.7 * cfg.radius):
+            behind = math.copysign(math.sqrt(cfg.radius ** 2 - x1 * x1), cfg.robot_speed)
+            rows += [(x1, nudged(ry - behind, k), 0.0, 0.0, 0.0) for k in ulps]
     return rows
 
 
@@ -148,6 +180,60 @@ class TestBatchedOracle:
 
     def test_empty_input(self):
         assert len(simenv.ground_truth_labels(np.empty((0, 5)))) == 0
+
+    def test_rows_that_enter_the_radius_last(self):
+        # a reach bound without |x4|, without its margins or measured from
+        # the robot's current position retires some of these rows too early
+        speeds = (2.0, 1.3, 0.7, 0.1, -0.45, -1.9)
+        for cfg in ORACLES:
+            rows = late_entries(cfg, speeds, ulps=range(-24, 25))
+            labels = scalar_labels(rows, cfg)
+            assert 0 < sum(labels) < len(labels)
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_rows_in_the_band_after_a_hit(self):
+        for cfg in ORACLES:
+            rows = band_after_hit(cfg, ulps=range(-3, 4))
+            labels = scalar_labels(rows, cfg)
+            assert all(labels)
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_tiny_radius_with_creeping_rows(self):
+        # rows that creep toward the robot's last position at 1e-12 units
+        # per step: their rounding outgrows a 1e-6 margin on a 1e-10
+        # radius, so out-of-reach rows must not retire for such a radius
+        for radius in (1e-10, 1e-12):
+            cfg = simenv.OracleConfig(radius=radius)
+            steps = round(cfg.horizon / cfg.dt)
+            end = cfg.robot_speed * (steps * cfg.dt)
+            rows = [(0.0, nudged(end + v * steps * cfg.dt + radius, k), -math.pi / 2, v, 0.0)
+                    for v in np.linspace(3e-12, 6e-12, 10) for k in range(-120, 120, 6)]
+            labels = scalar_labels(rows, cfg)
+            assert 0 < sum(labels) < len(labels)
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_radius_whose_square_is_subnormal(self):
+        # the squared distance of these rows has few significant bits
+        radius = 1e-161
+        cfg = simenv.OracleConfig(radius=radius, robot_speed=0.0)
+        rows = [(radius * f * math.cos(a), radius * f * math.sin(a), 0.0, 0.0, 0.0)
+                for f in np.linspace(0.999, 1.001, 21) for a in np.linspace(0.1, 1.4, 14)]
+        labels = scalar_labels(rows, cfg)
+        assert 0 < sum(labels) < len(labels)
+        assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_non_finite_rows(self):
+        # the scalar oracle's labels wherever it has one (math.cos(inf) raises)
+        nan, inf = math.nan, math.inf
+        rows = [(nan, 5.0, 0.0, 1.0, 0.0), (inf, 5.0, 0.0, 1.0, 0.0),
+                (-inf, 0.5, 0.0, 1.0, 0.0), (0.0, inf, 0.0, 1.0, 0.0),
+                (0.0, 1.0, nan, 1.0, 0.0), (0.0, 5.0, nan, 1.0, 0.0),
+                (0.0, 5.0, 0.0, inf, 0.0), (-3.0, 5.0, 0.0, -inf, 0.0),
+                (0.0, 5.0, 0.0, nan, 0.0), (0.0, 5.0, 0.0, 0.0, nan),
+                (0.0, 5.0, 1.0, 1.0, 1e300), (1e200, -1e200, 0.0, 1e300, 0.0)]
+        for cfg in ORACLES:
+            labels = scalar_labels(rows, cfg)
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
 
 
 class TestCalibrateRadius:
@@ -383,6 +469,23 @@ class TestBlockDraws:
             assert simenv.trace_hash(lazy) == simenv.trace_hash(head(eager, rows))
         lazy.extend_to(n)
         assert simenv.trace_hash(lazy) == simenv.trace_hash(eager)
+
+    @pytest.mark.parametrize("n", [1, simenv.LABEL_CHUNK, simenv.LABEL_CHUNK + 1,
+                                   2 * simenv.LABEL_CHUNK + 5])
+    def test_one_extension_draws_the_chunks_of_many(self, n):
+        cap = 2 * simenv.LABEL_CHUNK + 5           # not a multiple of the chunk
+
+        def lazy():
+            return simenv.lazy_trace(cap, 0.6, simenv.EnvGenerator(mode="random_walk",
+                                                                   seed=7), 8)
+
+        whole, chunked = lazy(), lazy()
+        whole.extend_to(n)
+        while chunked.held < n:
+            chunked.extend_to(chunked.held + 1)
+        assert whole.held == min(cap, math.ceil(n / simenv.LABEL_CHUNK) * simenv.LABEL_CHUNK)
+        assert_same_rows(whole, chunked.present, chunked.X, chunked.label)
+        assert simenv.trace_hash(whole) == simenv.trace_hash(chunked)
 
     def test_lazy_trace_stops_at_its_cap(self):
         lazy = simenv.lazy_trace(10, 0.5, simenv.EnvGenerator(seed=1), 2)
