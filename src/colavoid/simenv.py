@@ -7,7 +7,8 @@ ground-truth label is 1 iff the two come within the collision radius at
 any sampled instant.  `ground_truth_labels` gives the same labels for a
 batch: it decides most instants by squared distance, outside a 1e-6 band
 around the radius, and drops rows from its arrays once they have hit or can
-no longer reach the robot's remaining path.
+no longer reach the robot's remaining path, in a straight line or along the
+circle that their positions lie on.
 
 A benchmark trace is a `Trace`: three arrays, `present` (bool), `X`
 (n x 5 float) and `label` (int8), and nothing else.  A trace file is read
@@ -118,13 +119,15 @@ def ground_truth_labels(X, cfg=OracleConfig()):
     oracle.  A NaN s is in no test: its distance is NaN or infinite; an s
     that overflows is inf, outside the band, so overflow is not warned of.
 
-    Every RETIRE_EVERY instants settled rows leave the arrays.  A row that
-    has hit keeps label 1: should it come near later, the scalar oracle
-    returns 1 at or before that hit.  A row further from the robot's
-    remaining path (x1 = 0, x2 between ry and its last position) than
-    |x4| (steps - k) dt (1 + 1e-9) + r (1 + 1e-6) can neither hit nor come
-    near.  The two oracles agree bit for bit; a label costs about 3.4 µs
-    instead of 8 (README, Performance).
+    Every RETIRE_EVERY instants, from the first, settled rows leave the
+    arrays.  A row that has hit keeps label 1: should it come near later,
+    the scalar oracle returns 1 at or before that hit.  A row can neither
+    hit nor come near once it is further from the robot's remaining path
+    (x1 = 0, x2 between ry and its last position) than
+    |x4| (steps - k) dt (1 + 1e-9) + r (1 + 1e-6), or once the centre of the
+    circle its positions lie on is further from that path than the
+    circle's reach (_circles).  The two oracles agree bit for bit; a label
+    costs about 2 µs instead of 8 (README, Performance).
     """
     X = np.asarray(X, dtype=float).reshape(-1, 5)
     n, steps = len(X), int(round(cfg.horizon / cfg.dt))
@@ -140,10 +143,14 @@ def ground_truth_labels(X, cfg=OracleConfig()):
         inner, outer = (r * (1 - _MARGIN)) ** 2, (r * (1 + _MARGIN)) ** 2
     else:
         inner, outer = -np.inf, np.inf
-    state, spare = np.empty((2, 6, n))     # px, py, theta, x4, x5 dt, row index
+    # px, py, theta, x4, x5 dt, row index, and the centre and squared reach
+    # of the row's circle (see _circles)
+    state, spare = np.empty((2, 9, n))
     state[:5] = X.T
     state[4] *= dt
     state[5] = np.arange(n)
+    if sound:
+        _circles(X, state[4], dt, steps, r, out=state[6:])
     dy, sq, tmp = np.empty((3, n))
     inside, band = np.empty((2, n), dtype=bool)
     hit_live = np.zeros(n, dtype=bool)     # the live rows that have hit
@@ -151,23 +158,22 @@ def ground_truth_labels(X, cfg=OracleConfig()):
     m = n
     for k in range(steps + 1):
         ry = speed * (k * dt)
-        if k % RETIRE_EVERY == 0 and 0 < k < steps:
+        if k % RETIRE_EVERY == 0 and k < steps:
             settled = hit_live[:m]
             hit[state[5, :m][settled].astype(np.intp)] = True
             if sound:
-                px, py, off, d2, reach, far = (state[0, :m], state[1, :m], dy[:m], sq[:m],
-                                               tmp[:m], band[:m])
-                np.clip(py, min(ry, end), max(ry, end), out=off)
-                np.subtract(py, off, out=off)
-                np.multiply(off, off, out=off)
-                np.multiply(px, px, out=d2)
-                np.add(d2, off, out=d2)
+                lo, hi = min(ry, end), max(ry, end)
+                reach, far = tmp[:m], band[:m]
                 np.abs(state[3, :m], out=reach)
                 np.multiply(reach, (steps - k) * dt * (1 + 1e-9), out=reach)
                 np.add(reach, r * (1 + _MARGIN), out=reach)
                 np.multiply(reach, reach, out=reach)
-                np.greater(d2, reach, out=far)
-                np.logical_or(settled, far, out=settled)
+                # the row against its straight reach, its circle's centre
+                # against the circle's reach
+                for x, y, reach_sq in ((state[0, :m], state[1, :m], reach),
+                                       (state[6, :m], state[7, :m], state[8, :m])):
+                    _beyond(x, y, lo, hi, reach_sq, dy[:m], sq[:m], out=far)
+                    np.logical_or(settled, far, out=settled)
             keep = np.flatnonzero(np.logical_not(settled, out=settled))
             for a, b in zip(state, spare):     # mode "raise" would copy via a temporary
                 np.take(a[:m], keep, out=b[:len(keep)], mode="clip")
@@ -206,6 +212,46 @@ def ground_truth_labels(X, cfg=OracleConfig()):
     for i in np.flatnonzero(near):
         hit[i] = ground_truth_label(ColliderState(*X[i].tolist()), cfg)
     return hit.astype(int)
+
+
+def _circles(X, w, dt, steps, r, out):
+    """The circle on which each row's positions lie, as out = (cx, cy,
+    reach^2): a row whose centre is further than reach from the robot's
+    remaining path can neither hit nor come near.
+
+    With heading step w = x5 dt and step x4 dt, the positions are vertices
+    of a regular polygon inscribed in the circle of signed radius
+    rho = x4 dt / (2 sin(w/2)) around (x1, x2) + rho (-sin(x3 - w/2),
+    cos(x3 - w/2)).  While steps (|x3| + steps |w|) < 1e6, and under the
+    bounds ground_truth_labels checks, the float recurrence strays from it
+    by far less than the margins of
+    reach = |rho| (1 + 2e-9) + |x4| steps dt 1e-9 + r (1 + 1e-6).
+    Elsewhere reach is infinite; on a straight path (w = 0) it is infinite
+    or NaN, and the circle retires no row either way.
+    """
+    cx, cy, reach = out
+    x1, x2, x3, x4 = X[:, :4].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = x4 * dt / (2 * np.sin(w / 2))
+        np.multiply(rho, np.sin(x3 - w / 2), out=cx)
+        np.subtract(x1, cx, out=cx)
+        np.multiply(rho, np.cos(x3 - w / 2), out=cy)
+        np.add(x2, cy, out=cy)
+        np.multiply(np.abs(rho), 1 + 2e-9, out=reach)
+        reach += np.abs(x4) * (steps * dt * 1e-9) + r * (1 + _MARGIN)
+        reach *= reach
+        reach[~((np.abs(x3) + steps * np.abs(w)) * steps < 1e6)] = np.inf
+
+
+def _beyond(x, y, lo, hi, reach_sq, off, d2, out):
+    """out = the squared distance of the points (x, y) from the segment
+    x1 = 0, lo <= x2 <= hi exceeds reach_sq; off and d2 are scratch."""
+    np.clip(y, lo, hi, out=off)
+    np.subtract(y, off, out=off)
+    np.multiply(off, off, out=off)
+    np.multiply(x, x, out=d2)
+    np.add(d2, off, out=d2)
+    np.greater(d2, reach_sq, out=out)
 
 
 def calibrate_radius(target=0.25, tol=0.01, n=20000, seed=12345):

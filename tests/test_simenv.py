@@ -139,6 +139,23 @@ def late_entries(cfg, speeds, ulps):
              0.0 if v > 0 else math.pi, v, 0.0) for v in speeds for k in ulps]
 
 
+def circling_entry(cfg, x5, laps=0):
+    """A state that circles at unit speed with turn rate x5 and reaches its
+    circle's nearest point to the robot at the last instant, a radius beyond
+    the robot's last position: its centre sits at the edge of the circle's
+    reach.  `laps` adds whole turns to the heading x3."""
+    steps = round(cfg.horizon / cfg.dt)
+    end = cfg.robot_speed * (steps * cfg.dt)
+    side = 1.0 if cfg.robot_speed >= 0 else -1.0
+    w = x5 * cfg.dt
+    rho = cfg.dt / (2 * math.sin(w / 2))
+    last = w / 2 + (0.0 if side * rho > 0 else math.pi)      # centre beyond the end
+    cx, cy = 0.0, end + side * (cfg.radius + abs(rho))
+    x3 = last - steps * w
+    return (cx + rho * math.sin(x3 - w / 2), cy - rho * math.cos(x3 - w / 2),
+            x3 + 2 * math.pi * laps, 1.0, x5)
+
+
 def band_after_hit(cfg, ulps):
     """Still states that the robot drives through, so they hit, and whose
     distance at a later instant is the radius nudged by whole ulps."""
@@ -190,6 +207,31 @@ class TestBatchedOracle:
             labels = scalar_labels(rows, cfg)
             assert 0 < sum(labels) < len(labels)
             assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_circling_rows_that_enter_the_radius_last(self):
+        # a circle reach without its margins retires some of these too early;
+        # x2 nudged by whole ulps: within the radius at the last instant or
+        # missing it by ulps
+        for cfg in ORACLES:
+            rows = [(x1, nudged(x2, k), x3, x4, x5)
+                    for x1, x2, x3, x4, x5 in (circling_entry(cfg, x5)
+                                               for x5 in (0.3, -0.55, 1.1, -1.5, 0.05))
+                    for k in range(-60, 61, 3)]
+            labels = scalar_labels(rows, cfg)
+            assert 0 < sum(labels) < len(labels)
+            assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
+
+    def test_circling_rows_with_a_large_heading(self):
+        # after 2^30 turns the heading's rounding bends each step by ~1e-6:
+        # the path leaves the circle by far more than its margins
+        cfg = ORACLES[1]
+        rows = [(x1, x2 + d, x3, x4, x5)
+                for x1, x2, x3, x4, x5 in (circling_entry(cfg, x5, laps=2 ** 30)
+                                           for x5 in (0.3, -0.55, 1.1, -1.5, 0.7, -0.9))
+                for d in np.linspace(-3e-4, 3e-4, 61)]
+        labels = scalar_labels(rows, cfg)
+        assert 0 < sum(labels) < len(labels)
+        assert simenv.ground_truth_labels(rows, cfg).tolist() == labels
 
     def test_rows_in_the_band_after_a_hit(self):
         for cfg in ORACLES:
