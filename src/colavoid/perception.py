@@ -40,16 +40,24 @@ class PerceptionError(Exception):
 @dataclass
 class Dataset:
     """Labelled inputs as arrays: `X` (n x 5 float) and `y` (n int8
-    classes in {0, 1})."""
+    classes in {0, 1}). Non-finite inputs and other labels are rejected,
+    naming the first bad row."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float).reshape(-1, len(INPUT_RANGES))
-        self.y = np.asarray(self.y, dtype=np.int8).reshape(-1)
-        if len(self.X) != len(self.y):
-            raise PerceptionError(f"{len(self.X)} inputs but {len(self.y)} labels")
+        y = np.asarray(self.y).reshape(-1)
+        if len(self.X) != len(y):
+            raise PerceptionError(f"{len(self.X)} inputs but {len(y)} labels")
+        finite, binary = np.isfinite(self.X).all(axis=1), (y == 0) | (y == 1)
+        if not (finite.all() and binary.all()):
+            i = int(np.argmin(finite & binary))
+            raise PerceptionError(f"row {i}: " + (
+                f"non-finite input {self.X[i].tolist()}" if not finite[i]
+                else f"label {y[i].item()!r} is not 0 or 1"))
+        self.y = y.astype(np.int8)
 
     def __len__(self):
         return len(self.y)
@@ -69,8 +77,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:     # also rejects NaN
-            raise PerceptionError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:     # also rejects NaN
+            raise PerceptionError(f"learning rate must be positive and finite, "
+                                  f"got {self.learning_rate!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
@@ -139,21 +148,6 @@ def _bce_loss(p, y, eps=1e-12):
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def _gradients(weights, acts, p, y, grads_w, grads_b):
-    """Writes the mean BCE loss's gradients into grads_w and grads_b."""
-    # d loss / d z_out for sigmoid + BCE, with the clip's dead zone respected
-    dz = np.maximum(p, 1e-12)
-    np.minimum(dz, 1.0 - 1e-12, out=dz)
-    dz -= y[:, None]
-    dz /= len(y)
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].T, dz, out=grads_w[i])
-        np.add.reduce(dz, axis=0, out=grads_b[i])
-        if i > 0:
-            dz = np.matmul(dz, weights[i].T)
-            dz *= acts[i] > 0.0
-
-
 def dataset_loss(params, X_std, y):
     """Mean BCE loss over a standardized dataset matrix."""
     _, p = _forward_pass(params.weights, params.biases, X_std)
@@ -165,7 +159,13 @@ def train(init, train_set, val_set, cfg):
     validation loss (ties resolved toward the earliest epoch).
 
     The layers are views into `theta`, their gradients into `grad`. Each
-    epoch's snapshot is a copy, which non-finite (diverged) weights fail."""
+    epoch's snapshot is a copy, which non-finite (diverged) weights fail.
+
+    A minibatch makes the operations of `_forward_pass` and of the mean BCE
+    loss's back-propagation in the same order, so the weights keep their
+    bits, through the fewest numpy calls: the arrays it writes are
+    allocated once per call, for the full and the trailing batch length,
+    and gathered with its rows into tuples once per call."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise PerceptionError("training and validation sets must be nonempty")
     params = init if isinstance(init, MLPParams) else MLPParams.init_random(init)
@@ -173,18 +173,69 @@ def train(init, train_set, val_set, cfg):
     grad, grads_w, grads_b = _flat(params.weights, params.biases)
     lr, bs = cfg.learning_rate, cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
-    X, y = standardize(train_set.X), train_set.y.astype(float)
+    X, y = standardize(train_set.X), train_set.y.astype(float)[:, None]
     X_val, y_val = standardize(val_set.X), val_set.y.astype(float)
     n = len(y)
+    X_epoch, y_epoch = np.empty_like(X), np.empty_like(y)
+    # per batch length: each layer's output, the loss's gradient at it (the
+    # output layer's z, p and gradient share one column) and each hidden
+    # layer's ReLU derivative
+    buffers = {}
+    for k in {min(bs, n), n % bs} - {0}:
+        outs = [np.empty((k, w.shape[1])) for w in weights]
+        buffers[k] = (outs, [np.empty_like(z) for z in outs[:-1]] + outs[-1:],
+                      [np.empty_like(z) for z in outs[:-1]])
+    steps = []
+    for start in range(0, n, bs):
+        x = X_epoch[start:start + bs]
+        outs, deltas, masks = buffers[len(x)]
+        ins = [x] + outs[:-1]
+        hidden = tuple(zip(ins, weights, biases, outs))[:-1]
+        output = (ins[-1], weights[-1], biases[-1], outs[-1], y_epoch[start:start + bs], len(x))
+        back = tuple((ins[i].T, deltas[i], grads_w[i], grads_b[i], weights[i].T, deltas[i - 1],
+                      ins[i], masks[i - 1]) for i in range(len(weights) - 1, 0, -1))
+        steps.append((hidden, output, back, (x.T, deltas[0], grads_w[0], grads_b[0])))
+    # bound once: a name lookup per call is a visible share of a minibatch
+    dot, add, maximum, minimum, negative = np.dot, np.add, np.maximum, np.minimum, np.negative
+    exp, subtract, multiply, divide, sign = np.exp, np.subtract, np.multiply, np.divide, np.sign
+    add_reduce = np.add.reduce
     best, best_loss = None, math.inf
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        X_epoch, y_epoch = X[order], y[order]
-        for start in range(0, n, bs):
-            acts, p = _forward_pass(weights, biases, X_epoch[start:start + bs])
-            _gradients(weights, acts, p, y_epoch[start:start + bs], grads_w, grads_b)
-            np.multiply(lr, grad, out=grad)
-            np.subtract(theta, grad, out=theta)
+        np.take(X, order, axis=0, out=X_epoch, mode="clip")
+        np.take(y, order, axis=0, out=y_epoch, mode="clip")
+        with np.errstate(over="ignore"):
+            for hidden, (a, w, b, p, y_batch, k), back, (xT, d, gw, gb) in steps:
+                for a_in, w_in, b_in, z in hidden:
+                    dot(a_in, w_in, z)
+                    add(z, b_in, z)
+                    maximum(z, 0.0, out=z)
+                dot(a, w, p)
+                add(p, b, p)
+                # the sigmoid, without _forward_pass's clip of z to +-500: the
+                # clip of p below sends every p that clip moves to the same
+                # bound (exp overflows to inf for z < -709, and 1 / inf = 0)
+                negative(p, p)
+                exp(p, p)
+                add(p, 1.0, p)
+                divide(1.0, p, p)
+                # d loss / d z_out for sigmoid + BCE, with the clip's dead
+                # zone respected
+                maximum(p, 1e-12, out=p)
+                minimum(p, 1.0 - 1e-12, out=p)
+                subtract(p, y_batch, p)
+                divide(p, k, p)
+                for aT, d_out, gw_i, gb_i, wT, d_in, a_in, mask in back:
+                    dot(aT, d_out, gw_i)
+                    add_reduce(d_out, 0, None, gb_i)
+                    dot(d_out, wT, d_in)
+                    # the sign of a ReLU output, 1 or +0, is its derivative
+                    sign(a_in, mask)
+                    multiply(d_in, mask, d_in)
+                dot(xT, d, gw)
+                add_reduce(d, 0, None, gb)
+                multiply(lr, grad, grad)
+                subtract(theta, grad, theta)
         params = MLPParams(weights, biases)
         val_loss = dataset_loss(params, X_val, y_val)
         if not math.isfinite(val_loss):

@@ -5,8 +5,10 @@
   reachability with its own graph search, not the checker's.
 - `serialize_model` renders a PDTMC back to the text format, so that
   `parse_model(serialize_model(m)) == m` checks the parser.
-- `loss_and_gradients` exposes the trainer's analytic gradients of one
-  batch for finite-difference checks.
+- `loss_and_gradients` gives the analytic gradients of one batch by plain
+  back-propagation through `perception._forward_pass`, for finite-difference
+  checks and for an SGD loop that shares no minibatch code with
+  `perception.train`.
 """
 
 import numpy as np
@@ -119,11 +121,26 @@ def serialize_model(model):
 # Gradients of the trainer
 # ---------------------------------------------------------------------------
 
+def _gradients(weights, acts, p, y, grads_w, grads_b):
+    """Writes the mean BCE loss's gradients into grads_w and grads_b."""
+    # d loss / d z_out for sigmoid + BCE, with the clip's dead zone respected
+    dz = np.maximum(p, 1e-12)
+    np.minimum(dz, 1.0 - 1e-12, out=dz)
+    dz -= y[:, None]
+    dz /= len(y)
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=grads_w[i])
+        np.add.reduce(dz, axis=0, out=grads_b[i])
+        if i > 0:
+            dz = np.matmul(dz, weights[i].T)
+            dz *= acts[i] > 0.0
+
+
 def loss_and_gradients(params, X_std, y):
-    """Mean BCE loss and its gradients w.r.t. every weight and bias, as the
-    trainer computes them; X_std must already be standardized."""
+    """Mean BCE loss and its gradients w.r.t. every weight and bias;
+    X_std must already be standardized."""
     acts, p = pc._forward_pass(params.weights, params.biases, X_std)
     grads_w = [np.empty_like(w) for w in params.weights]
     grads_b = [np.empty_like(b) for b in params.biases]
-    pc._gradients(params.weights, acts, p, y, grads_w, grads_b)
+    _gradients(params.weights, acts, p, y, grads_w, grads_b)
     return pc._bce_loss(p[:, 0], y), grads_w, grads_b

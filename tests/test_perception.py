@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,37 @@ def reference_train(init, train_set, val_set, cfg):
         losses.append(pc.dataset_loss(p, X_val, y_val))
         snapshots.append(p)
     return snapshots[losses.index(min(losses))]      # ties: the earliest epoch
+
+
+class TestDataset:
+    @pytest.mark.parametrize("labels, row, message", [
+        ([1, 0.7, 0], 1, "label 0.7 is not 0 or 1"),
+        ([0, 1, 2], 2, "label 2 is not 0 or 1"),
+        ([300, 0, 1], 0, "label 300 is not 0 or 1"),
+        ([1, -1, 0], 1, "label -1 is not 0 or 1"),
+        ([0, math.nan, 1], 1, "label nan is not 0 or 1")],
+        ids=["fraction", "two", "int8_overflow", "minus_one", "nan"])
+    def test_label_other_than_0_or_1_rejected(self, labels, row, message):
+        with pytest.raises(pc.PerceptionError, match=f"^row {row}: {message}$"):
+            pc.Dataset(np.zeros((3, 5)), labels)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = np.zeros((4, 5))
+        X[2, 3] = bad
+        X[3, 0] = bad
+        with pytest.raises(pc.PerceptionError, match=r"^row 2: non-finite input"):
+            pc.Dataset(X, [0, 1, 0, 2])
+
+    def test_first_bad_row_named(self):
+        X = np.zeros((3, 5))
+        X[2, 0] = math.nan
+        with pytest.raises(pc.PerceptionError, match="^row 1: label 5"):
+            pc.Dataset(X, [0, 5, 1])
+
+    def test_labels_kept_as_int8(self):
+        ds = pc.Dataset(np.zeros((4, 5)), [0, 1.0, True, False])
+        assert ds.y.dtype == np.int8 and ds.y.tolist() == [0, 1, 1, 0]
 
 
 class TestStandardize:
@@ -221,9 +253,47 @@ class TestTrain:
         for a, b in zip(init.weights, init_weights):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, batch_size, epochs, init", [
+        (161, 32, 3, 5), (162, 32, 3, 5), (40, 64, 5, 5), (150, 32, 40, "params")],
+        ids=["trailing_1_row", "trailing_2_rows", "batch_above_set", "fine_tune"])
+    def test_matches_reference_at_blas_edge_shapes(self, n, batch_size, epochs, init):
+        # the default net where BLAS may pick another kernel: one- and
+        # two-row products, a single short batch, and a repair's fine-tune
+        # from a trained snapshot with a partial last batch of 22
+        rule = lambda x: x[0] + x[1] > 4.0
+        train_set = make_dataset(n, rule, seed=42)
+        val_set = make_dataset(60, rule, seed=43)
+        cfg = pc.TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=batch_size, seed=6)
+        if init == "params":
+            init = pc.train(7, make_dataset(300, rule, seed=44), val_set, pc.TrainConfig(epochs=5))
+        params = pc.train(init, train_set, val_set, cfg)
+        start = init if isinstance(init, pc.MLPParams) else pc.MLPParams.init_random(init)
+        best = reference_train(start, train_set, val_set, cfg)
+        for a, b in zip(params.weights + params.biases, best.weights + best.biases):
+            assert np.array_equal(a, b)
+
+    def test_matches_reference_with_saturated_outputs(self):
+        # output logits past +-500 and past exp's overflow at -709, where
+        # train leaves _forward_pass's clip of z to the loss's clip of p
+        rule = lambda x: x[0] + x[1] > 4.0
+        train_set = make_dataset(150, rule, seed=40)
+        val_set = make_dataset(60, rule, seed=41)
+        base = pc.MLPParams.init_random(5)
+        init = pc.MLPParams(base.weights[:-1] + (base.weights[-1] * 1e3,), base.biases)
+        acts, _ = pc._forward_pass(init.weights, init.biases, pc.standardize(train_set.X))
+        z = acts[-2] @ init.weights[-1] + init.biases[-1]
+        assert (z < -709).any() and (z > 500).any()
+        cfg = pc.TrainConfig(learning_rate=0.2, epochs=4, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = pc.train(init, train_set, val_set, cfg)
+        best = reference_train(init, train_set, val_set, cfg)
+        for a, b in zip(params.weights + params.biases, best.weights + best.biases):
+            assert np.array_equal(a, b)
+
     def test_golden_weights(self):
-        # reference_train shares _gradients with train, so pin the bytes too:
-        # default architecture, a partial last batch of 22
+        # reference_train shares no minibatch code with train; pin the bytes
+        # too: default architecture, a partial last batch of 22
         rule = lambda x: x[0] + x[1] > 4.0
         train_set = make_dataset(150, rule, seed=40)
         val_set = make_dataset(60, rule, seed=41)
@@ -282,9 +352,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -4},
                                         {"learning_rate": math.nan}, {"epochs": 1.5},
-                                        {"batch_size": 2.5}],
+                                        {"batch_size": 2.5}, {"learning_rate": math.inf}],
                              ids=["batch_size_0", "batch_size_-4", "learning_rate_nan",
-                                  "epochs_1.5", "batch_size_2.5"])
+                                  "epochs_1.5", "batch_size_2.5", "learning_rate_inf"])
     def test_config_that_trains_nothing_rejected(self, kwargs):
         with pytest.raises(pc.PerceptionError):
             pc.TrainConfig(**kwargs)
